@@ -1,16 +1,14 @@
 """Latency measurement for keygen, encaps, and decaps.
 
 Reports the median and quartiles in nanoseconds over at least 1000
-timed iterations preceded by at least 100 warm-up iterations.  Cycle
-counts are not portably readable from Python, so the cycles field stays
-None and comparisons are made as ratios between configurations, never
-against absolute cycle figures from other machines.
+timed iterations preceded by at least 100 warm-up iterations.
+Comparisons are made as ratios between configurations, never against
+absolute figures from other machines.
 """
 
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from . import kem
 from .block import keygen
@@ -30,7 +28,6 @@ class BenchReport:
     median_ns: int
     q1_ns: int
     q3_ns: int
-    cycles: Optional[int] = None
 
     def format_line(self):
         return (

@@ -9,18 +9,25 @@ hidden-ring multiplier.  b is used only to build the products and is
 discarded.
 
 Encrypting evaluates both cipher maps at the secret x and fresh noise,
-over the integers.  Decrypting unmasks both values, reduces mod p, and
-divides: the base polynomial cancels, leaving f1(x)/f2(x), from which x
-is recovered by solving a linear (factor_degree 1) or quadratic
-(factor_degree 2) congruence.  Degree-2 profiles embed an 8-bit CRC flag
-in the plaintext so the right root can be identified.
+over the integers.  Decrypting unmasks both values to c1 = b(x)f1(x) and
+c2 = b(x)f2(x) mod p; the base polynomial cancels from
+c2*f1(x) - c1*f2(x) = 0 (mod p), a linear (factor_degree 1) or quadratic
+(factor_degree 2) congruence in x that is solved without first forming
+the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC flag in the
+plaintext so the right root can be identified.
 """
 
 from dataclasses import dataclass
 
 from . import fhe
-from .errors import AllZeroNoise, NoValidRoot, PayloadTooLarge, ZeroDenominator
-from .modmath import ensure_wide, mod_inverse, solve_linear, solve_quadratic
+from .errors import (
+    AllZeroNoise,
+    DegenerateEquation,
+    NoValidRoot,
+    PayloadTooLarge,
+    ZeroDenominator,
+)
+from .modmath import ensure_wide, mod_inverse, solve_quadratic
 
 _CRC_POLY = 0x07  # x^8 + x^2 + x + 1, MSB first, init 0, no final xor
 
@@ -85,13 +92,21 @@ class BlockCiphertext:
 # -- CRC flag handling (factor_degree = 2 profiles)
 
 
+def _crc8_byte(crc):
+    """Shift one byte's worth of bits through the CRC register."""
+    for _ in range(8):
+        crc = ((crc << 1) ^ _CRC_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+    return crc
+
+
+_CRC8_TABLE = tuple(_crc8_byte(i) for i in range(256))
+
+
 def crc8(data):
     """CRC-8, polynomial 0x07, init 0x00, MSB first, no reflection or xorout."""
     crc = 0
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC_POLY) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        crc = _CRC8_TABLE[crc ^ byte]
     return crc
 
 
@@ -273,13 +288,12 @@ def encrypt_block(pk, params, x, noise):
     return BlockCiphertext(v1, v2)
 
 
-def decrypt_block(sk, params, ct):
-    """Recover the block secret from a ciphertext made under the matching key.
+def _projective_factors(sk, params, ct):
+    """Coefficients of c2*f1(x) - c1*f2(x) mod p, ascending degree.
 
-    Unmasks both values, reduces mod p, and solves
-    f1(x) - (p1/p2) * f2(x) = 0 (mod p).  Returns x directly for
-    factor_degree 1; for factor_degree 2 returns the payload of the
-    unique root whose CRC flag verifies.
+    c1, c2 are the unmasked values reduced mod p; the block secret is a
+    root of this polynomial.  Raises ZeroDenominator when c2 = 0 mod p,
+    where the equation carries no information about x.
     """
     p = params.prime
     s = sk.modulus
@@ -287,12 +301,37 @@ def decrypt_block(sk, params, ct):
     c2 = sk.r2_inv * ct.value2 % s % p
     if c2 == 0:
         raise ZeroDenominator("second map evaluates to 0 mod p")
-    ratio = c1 * mod_inverse(c2, p) % p
-    # coefficients of f1(x) - ratio * f2(x), ascending degree
-    diff = [(a - ratio * b) % p for a, b in zip(sk.f1, sk.f2)]
+    return [(c2 * a - c1 * b) % p for a, b in zip(sk.f1, sk.f2)]
+
+
+def linear_fraction(sk, params, ct):
+    """(numerator, denominator) with x = numerator / denominator mod p.
+
+    The linear solve of a factor_degree 1 block up to its division,
+    x = -(c2*f1[0] - c1*f2[0]) / (c2*f1[1] - c1*f2[1]), so that a caller
+    can divide many fractions with one inversion.  Raises
+    ZeroDenominator (c2 = 0 mod p) or DegenerateEquation (denominator = 0).
+    """
+    d0, d1 = _projective_factors(sk, params, ct)
+    if d1 == 0:
+        raise DegenerateEquation("linear coefficient vanishes mod p")
+    return -d0 % params.prime, d1
+
+
+def decrypt_block(sk, params, ct):
+    """Recover the block secret from a ciphertext made under the matching key.
+
+    Unmasks both values, reduces mod p, and solves the projective form
+    c2*f1(x) - c1*f2(x) = 0 (mod p), which needs no inversion of c2.
+    Returns x directly for factor_degree 1; for factor_degree 2 returns
+    the payload of the unique root whose CRC flag verifies.
+    """
+    p = params.prime
     if params.factor_degree == 1:
-        return solve_linear(diff[1], -diff[0] % p, p)
-    roots = solve_quadratic(diff[2], diff[1], diff[0], p)
+        num, den = linear_fraction(sk, params, ct)
+        return num * mod_inverse(den, p) % p
+    d0, d1, d2 = _projective_factors(sk, params, ct)
+    roots = solve_quadratic(d2, d1, d0, p)
     verified = [r for r in roots if verify_flag(r, params)]
     if len(verified) != 1:
         raise NoValidRoot(f"{len(verified)} roots passed flag verification")

@@ -16,7 +16,6 @@ File extensions: .hpk public key, .hsk secret key, .hct ciphertext,
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 from .block import (
     BlockCiphertext,
@@ -25,9 +24,16 @@ from .block import (
     decrypt_block,
     encrypt_block,
     format_plaintext,
+    linear_fraction,
 )
-from .errors import DecapsFailure, HppkError, MalformedEncoding, PayloadTooLarge
-from .modmath import mod_inverse
+from .errors import (
+    DecapsFailure,
+    HppkError,
+    MalformedEncoding,
+    NotCoprime,
+    PayloadTooLarge,
+)
+from .modmath import batch_inverse, mod_inverse
 from .params import SHARED_SECRET_BYTES
 
 
@@ -88,14 +94,25 @@ def encaps(pk, params, rng):
 
 
 def decaps(sk, params, ct):
-    """Recover the shared secret; any block error is wrapped with its index."""
-    payloads = []
+    """Recover the shared secret; any block error is wrapped with its index.
+
+    Blocks are checked in order and the first failure is raised.  For
+    factor_degree 1 every block is first reduced to a checked fraction
+    (block.linear_fraction); all denominators are then inverted with one
+    modular inversion.  Degree-2 blocks go through decrypt_block.
+    """
+    solve = linear_fraction if params.factor_degree == 1 else decrypt_block
+    results = []
     for k, blk in enumerate(ct.blocks):
         try:
-            payloads.append(decrypt_block(sk, params, blk))
+            results.append(solve(sk, params, blk))
         except HppkError as err:
             raise DecapsFailure(k, err) from err
-    return _pack_payloads(payloads, params)
+    if params.factor_degree == 1:
+        p = params.prime
+        inverses = batch_inverse([den for _, den in results], p)
+        results = [num * inv % p for (num, _), inv in zip(results, inverses)]
+    return _pack_payloads(results, params)
 
 
 # -- wire formats
@@ -163,9 +180,12 @@ def deserialize_sk(data, params):
     modulus, r1, r2 = _chunk(data[: 3 * w], w)
     if modulus.bit_length() != params.ring_bits:
         raise MalformedEncoding("ring modulus has the wrong bit length")
-    for r in (r1, r2):
-        if not 0 < r < modulus or gcd(r, modulus) != 1:
-            raise MalformedEncoding("multiplier is not a unit of the ring")
+    if not (0 < r1 < modulus and 0 < r2 < modulus):
+        raise MalformedEncoding("multiplier is not a unit of the ring")
+    try:
+        r1_inv, r2_inv = mod_inverse(r1, modulus), mod_inverse(r2, modulus)
+    except NotCoprime as err:
+        raise MalformedEncoding("multiplier is not a unit of the ring") from err
     coeffs = _chunk(data[3 * w :], 8)
     if any(c >= params.prime for c in coeffs):
         raise MalformedEncoding("factor coefficient exceeds the prime")
@@ -183,8 +203,8 @@ def deserialize_sk(data, params):
         modulus=modulus,
         r1=r1,
         r2=r2,
-        r1_inv=mod_inverse(r1, modulus),
-        r2_inv=mod_inverse(r2, modulus),
+        r1_inv=r1_inv,
+        r2_inv=r2_inv,
         f1=f1,
         f2=f2,
     )
@@ -204,12 +224,14 @@ def deserialize_ct(data, params, block_count=None):
     """Strict inverse of serialize_ct; block_count defaults to the profile's."""
     if block_count is None:
         block_count = params.block_count
+    if block_count < 1:
+        raise MalformedEncoding(f"block count must be positive, got {block_count}")
     w = params.value_bytes
     expected = block_count * 2 * w
     if len(data) != expected:
         raise MalformedEncoding(f"ciphertext must be {expected} bytes, got {len(data)}")
     values = _chunk(data, w)
-    limit = 1 << (params.ring_bits + params.prime_bits + 8)
+    limit = 1 << params.value_bits
     if any(v >= limit for v in values):
         raise MalformedEncoding("ciphertext value exceeds its width bound")
     blocks = tuple(

@@ -1,18 +1,21 @@
 """Fixed-width unsigned arithmetic and modular algorithms.
 
 Every quantity handled by this package is a non-negative integer below
-2**256 (ciphertext values need at most ring_bits + prime_bits + 8 bits,
-which is 208 for the largest shipped configuration; 256 leaves headroom
-and fixes serialization widths).  Python integers are exact at any size,
-so the capacity contract is enforced at construction and parsing
-boundaries with :func:`ensure_wide` instead of on every operation; the
-ring-size precondition guarantees intermediate values stay in range.
+2**256.  A ciphertext value sums term_count products below 2**ring_bits
+* p, so it needs at most ring_bits + prime_bits + bit_length(term_count)
+bits; the wire format reserves max(8, bit_length(term_count)) margin
+bits (ParameterSet.value_bits), 208 bits in every shipped profile, and
+256 leaves headroom.  Python integers are exact at any size, so the
+capacity contract is enforced at construction and parsing boundaries
+with :func:`ensure_wide` instead of on every operation; the ring-size
+precondition guarantees intermediate values stay in range.
 
 No floating point is used anywhere in this module.  Nothing here is
 constant-time: operand-dependent timing is accepted, and timing side
 channels are out of scope for this artifact.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import CapacityExceeded, DegenerateEquation, NotCoprime
@@ -38,19 +41,6 @@ def ensure_wide(value, what="value"):
     return value
 
 
-def xgcd(a, b):
-    """Iterative extended Euclid: returns (g, x, y) with a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a, m):
     """Return v with a*v = 1 (mod m), 0 < v < m.
 
@@ -58,19 +48,31 @@ def mod_inverse(a, m):
     """
     if not 0 < a < m:
         raise ValueError(f"need 0 < a < m, got a={a}, m={m}")
-    g, x, _ = xgcd(a, m)
-    if g != 1:
-        raise NotCoprime(f"gcd({a}, {m}) = {g}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprime(f"gcd({a}, {m}) = {gcd(a, m)}") from None
 
 
-def pow_mod(base, exp, m):
-    """base**exp mod m for m > 1; exp >= 0."""
-    if m <= 1:
-        raise ValueError(f"modulus must exceed 1, got {m}")
-    if exp < 0:
-        raise ValueError("negative exponent")
-    return pow(base, exp, m)
+def batch_inverse(values, m):
+    """Inverses mod m of every value, in order, with a single mod_inverse.
+
+    Montgomery's trick: invert the running product once, then peel each
+    inverse off it with two multiplications.  Every value must be a unit
+    of Z_m in (0, m): one non-unit spoils the product, and with it the
+    whole batch, so callers check each value first.
+    """
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % m
+    inv = mod_inverse(acc, m)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % m
+        inv = inv * values[i] % m
+    return out
 
 
 def is_prime_64(n):
@@ -100,45 +102,46 @@ def is_prime_64(n):
     return True
 
 
-def legendre(a, p):
-    """Legendre symbol of a mod an odd prime p: 1, -1, or 0."""
-    ls = pow(a % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
+@lru_cache(maxsize=32)
+def _tonelli_constants(p):
+    """(q, s, z**q mod p) with p - 1 = q * 2**s, q odd, z the least non-residue."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return q, s, pow(z, q, p)
 
 
 def sqrt_mod(a, p):
     """All square roots of a modulo an odd prime p, sorted ascending.
 
     Returns [] when a is a non-residue, [0] when a = 0, and the pair
-    [r, p - r] otherwise (Tonelli-Shanks).
+    [r, p - r] otherwise.  Tonelli-Shanks with the per-prime constants
+    cached: one exponentiation w = a**((q-1)/2) gives both the candidate
+    root r = a*w = a**((q+1)/2) and t = r*w = a**q, whose order 2**i
+    measures how far r is from a root.  A non-residue shows up as t of
+    order 2**s, so no separate Euler-criterion test is needed; when
+    p = 3 (mod 4), s = 1 and the loop never runs for a residue.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         return [0]
-    if legendre(a, p) != 1:
-        return []
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return sorted((r, p - r))
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
+    q, m, c = _tonelli_constants(p)
+    w = pow(a, (q - 1) // 2, p)
+    r = a * w % p
+    t = r * w % p
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:
+            return []  # t has full order 2**s: a is a non-residue
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p

@@ -106,9 +106,20 @@ class ParameterSet:
         return (self.ring_bits + 7) // 8
 
     @property
+    def value_bits(self):
+        """Every unreduced ciphertext value is below 2**value_bits.
+
+        A value sums term_count products of a ring coefficient below
+        2**ring_bits and a monomial below p, so bit_length(term_count)
+        margin bits cover it; the margin is at least 8, which fixes the
+        wire widths of every shipped profile.
+        """
+        return self.ring_bits + self.prime_bits + max(8, self.term_count.bit_length())
+
+    @property
     def value_bytes(self):
-        """Width of one unreduced ciphertext value: ring + prime + margin bits."""
-        return (self.ring_bits + self.prime_bits + 8 + 7) // 8
+        """Width of one unreduced ciphertext value on the wire."""
+        return (self.value_bits + 7) // 8
 
     @property
     def public_key_bytes(self):
@@ -148,8 +159,6 @@ PARAMETER_SETS = {
 }
 
 PRODUCTION_LABELS = tuple(k for k in PARAMETER_SETS if k != "toy")
-
-INSECURE_LABELS = ("toy",)
 
 
 def by_level(level, nb):

@@ -213,6 +213,21 @@ def test_crc8_known_check_value():
     assert crc8(b"\x00") == 0
 
 
+def test_crc8_matches_bitwise_reference():
+    def bitwise(data):
+        crc = 0
+        for byte in data:
+            crc ^= byte
+            for _ in range(8):
+                crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        return crc
+
+    rng = random.Random(10)
+    for n in range(40):
+        data = rng.randbytes(n)
+        assert crc8(data) == bitwise(data)
+
+
 def test_format_plaintext_structure():
     assert format_plaintext(0, DEG2) == crc8(b"\x00" * 7) << DEG2.payload_bits
     v = 0x00DEAD_BEEF_1234

@@ -1,9 +1,14 @@
 import pytest
 
 from hppk import kem
-from hppk.block import BlockCiphertext, keygen
-from hppk.errors import DecapsFailure, MalformedEncoding, ZeroDenominator
-from hppk.params import PARAMETER_SETS, ParameterSet
+from hppk.block import BlockCiphertext, encrypt_block, keygen
+from hppk.errors import (
+    DecapsFailure,
+    DegenerateEquation,
+    MalformedEncoding,
+    ZeroDenominator,
+)
+from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
 # byte sizes the wire format must reproduce exactly
@@ -74,6 +79,63 @@ def test_decaps_failure_carries_block_index(toy_params, toy_keypair):
     assert isinstance(err.value.cause, ZeroDenominator)
 
 
+def _crafted_block(sk, c1, c2):
+    """A block whose values unmask to c1, c2 under sk."""
+    return BlockCiphertext(sk.r1 * c1 % sk.modulus, sk.r2 * c2 % sk.modulus)
+
+
+def _toy_failures(sk):
+    # toy f1 = (4, 9), f2 = (10, 7): with c1 = 9, c2 = 7 the x coefficient
+    # 7*9 - 9*7 of c2*f1 - c1*f2 vanishes
+    return {
+        ZeroDenominator: _crafted_block(sk, 8, 0),
+        DegenerateEquation: _crafted_block(sk, 9, 7),
+    }
+
+
+@pytest.mark.parametrize("cause", [ZeroDenominator, DegenerateEquation])
+def test_decaps_failure_in_middle_block(toy_params, toy_keypair, cause):
+    sk, _ = toy_keypair
+    good = BlockCiphertext(198082, 192229)
+    bad = _toy_failures(sk)[cause]
+    ct = kem.KemCiphertext((good, good, bad, good, good))
+    with pytest.raises(DecapsFailure) as err:
+        kem.decaps(sk, toy_params, ct)
+    assert err.value.block_index == 2
+    assert isinstance(err.value.cause, cause)
+
+
+@pytest.mark.parametrize("first", [ZeroDenominator, DegenerateEquation])
+def test_decaps_reports_earliest_failure(toy_params, toy_keypair, first):
+    sk, _ = toy_keypair
+    good = BlockCiphertext(198082, 192229)
+    bad = _toy_failures(sk)
+    second = DegenerateEquation if first is ZeroDenominator else ZeroDenominator
+    ct = kem.KemCiphertext((good, bad[first], good, bad[second]))
+    with pytest.raises(DecapsFailure) as err:
+        kem.decaps(sk, toy_params, ct)
+    assert err.value.block_index == 1
+    assert isinstance(err.value.cause, first)
+
+
+def test_decaps_matches_per_block_decryption(toy_params, toy_keypair):
+    from hppk.block import decrypt_block
+
+    sk, pk = toy_keypair
+    rng = DeterministicStream(b"toy-batch")
+    blocks = []
+    while len(blocks) < 8:
+        noise = [rng.below(12) + 1, rng.below(13)]
+        blk = encrypt_block(pk, toy_params, rng.below(13), noise)
+        try:
+            blocks.append((blk, decrypt_block(sk, toy_params, blk)))
+        except (ZeroDenominator, DegenerateEquation):
+            continue
+    ct = kem.KemCiphertext(tuple(b for b, _ in blocks))
+    expected = sum(x << (4 * k) for k, (_, x) in enumerate(blocks))
+    assert kem.decaps(sk, toy_params, ct) == expected.to_bytes(4, "little")
+
+
 @pytest.mark.parametrize("label", sorted(EXPECTED_SIZES))
 def test_key_serialization_roundtrip(label):
     params = PARAMETER_SETS[label]
@@ -120,6 +182,28 @@ def test_deserialize_sk_validates_fields():
     if doubled[-1] != 0:
         with pytest.raises(MalformedEncoding):
             kem.deserialize_sk(bytes(blob3), params)
+
+
+@pytest.mark.parametrize("block_count", [0, -1])
+def test_deserialize_ct_rejects_nonpositive_block_count(block_count):
+    params = PARAMETER_SETS["level1-nb1"]
+    with pytest.raises(MalformedEncoding):
+        kem.deserialize_ct(b"", params, block_count=block_count)
+
+
+def test_deserialize_ct_admits_worst_case_value():
+    # term_count 1020 needs 10 margin bits, more than the 8 every shipped
+    # profile reserves
+    params = ParameterSet(
+        prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1, noise_vars=340,
+        ring_bits=139,
+    )
+    assert params.term_count == 1020
+    worst = params.term_count * ((1 << params.ring_bits) - 1) * (params.prime - 1)
+    assert worst.bit_length() == params.value_bits == 213
+    ct = kem.KemCiphertext((BlockCiphertext(worst, worst),) * params.block_count)
+    blob = kem.serialize_ct(ct, params)
+    assert kem.deserialize_ct(blob, params) == ct
 
 
 def test_deserialize_ct_rejects_oversized_values(toy_params):

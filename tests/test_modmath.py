@@ -1,18 +1,18 @@
 import random
+from math import gcd
 
 import pytest
 
 from hppk.errors import CapacityExceeded, DegenerateEquation, NotCoprime
 from hppk.modmath import (
     WIDE_BITS,
+    batch_inverse,
     ensure_wide,
     is_prime_64,
     mod_inverse,
-    pow_mod,
     solve_linear,
     solve_quadratic,
     sqrt_mod,
-    xgcd,
 )
 
 
@@ -51,31 +51,21 @@ def test_mod_inverse_random_trials():
         bits = rng.randint(64, 256)
         m = rng.getrandbits(bits) | 1 << (bits - 1)
         a = rng.randrange(1, m)
-        g, _, _ = xgcd(a, m)
-        if g != 1:
+        if gcd(a, m) != 1:
             continue
         assert a * mod_inverse(a, m) % m == 1
         trials += 1
 
 
-def test_pow_mod_examples():
-    assert pow_mod(2, 10, 1000) == 24
-    assert pow_mod(12345, 0, 97) == 1
-    assert pow_mod(3, 12, 13) == 1  # Fermat
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 1)
-
-
-def test_pow_mod_matches_iterated_multiplication():
-    rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randrange(2, 1 << 16)
-        base = rng.randrange(m)
-        exp = rng.randrange(1 << 10)
-        acc = 1
-        for _ in range(exp):
-            acc = acc * base % m
-        assert pow_mod(base, exp, m) == acc
+def test_batch_inverse_matches_mod_inverse():
+    rng = random.Random(0xBA7C)
+    p = (1 << 64) - 59
+    for n in (1, 2, 5, 64):
+        values = [rng.randrange(1, p) for _ in range(n)]
+        assert batch_inverse(values, p) == [mod_inverse(v, p) for v in values]
+    s = 6798  # composite modulus: units only
+    units = [v for v in range(1, 200) if gcd(v, s) == 1]
+    assert batch_inverse(units, s) == [mod_inverse(v, s) for v in units]
 
 
 def test_sqrt_mod_examples():
@@ -84,11 +74,15 @@ def test_sqrt_mod_examples():
     assert sqrt_mod(5, 13) == []  # 5 is a non-residue mod 13
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 29, 41, 73, 97])
+# 257 = 2**8 + 1, 7681 = 15 * 2**9 + 1 and 12289 = 3 * 2**12 + 1 take the
+# Tonelli-Shanks loop through many rounds.
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 29, 41, 73, 97, 257, 7681, 12289])
 def test_sqrt_mod_matches_enumeration_small_primes(p):
+    roots = {a: [] for a in range(p)}
+    for r in range(p):
+        roots[r * r % p].append(r)
     for a in range(p):
-        expected = sorted(r for r in range(p) if r * r % p == a)
-        assert sqrt_mod(a, p) == expected
+        assert sqrt_mod(a, p) == roots[a]
 
 
 def test_sqrt_mod_large_prime_roundtrip():
@@ -100,6 +94,19 @@ def test_sqrt_mod_large_prime_roundtrip():
         assert r in roots or p - r in roots
         for root in roots:
             assert root * root % p == r * r % p
+
+
+def test_sqrt_mod_large_prime_non_residues():
+    p = (1 << 64) - 59
+    assert sqrt_mod(3, p) == []  # Euler's criterion: 3**((p-1)/2) = -1 mod p
+    rng = random.Random(9)
+    non_residues = 0
+    for _ in range(200):
+        a = rng.randrange(1, p)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert sqrt_mod(a, p) == []
+            non_residues += 1
+    assert non_residues > 50
 
 
 def test_solve_linear_examples():
