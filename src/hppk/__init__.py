@@ -2,7 +2,8 @@
 
 Public polynomial coefficients are hidden by modular multiplication over
 a secret ring; encryption is polynomial evaluation over the integers,
-decryption a modular division that cancels the shared base polynomial.
+decryption a congruence mod p in which the shared base polynomial
+cancels.
 The package ships the block cipher core, a multi-block KEM with
 byte-exact wire formats, desk-scale cryptanalysis oracles, and a CLI.
 """

@@ -16,6 +16,7 @@ from math import gcd
 
 import numpy as np
 
+from .block import sample_keypair
 from .errors import (
     DegenerateEquation,
     EliminationFailed,
@@ -33,6 +34,21 @@ _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 
 
 # -- the mod-p view of one ciphertext block
+
+
+def column_values(coeffs, x, p):
+    """Per-noise-variable coefficient polynomials evaluated at x, mod p.
+
+    coeffs is a (degree+1) x noise_vars matrix whose row i multiplies
+    x**i; entry j of the result is the coefficient of noise variable j.
+    """
+    out = [0] * len(coeffs[0])
+    power = 1
+    for row in coeffs:
+        for j, c in enumerate(row):
+            out[j] = (out[j] + c * power) % p
+        power = power * x % p
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,21 +75,10 @@ class ModPSystem:
     def degree(self):
         return len(self.coeffs1) - 1
 
-    def column_values(self, coeffs, x):
-        """Per-noise-variable coefficient polynomials evaluated at x."""
-        p = self.prime
-        out = [0] * len(coeffs[0])
-        power = 1
-        for row in coeffs:
-            for j, c in enumerate(row):
-                out[j] = (out[j] + c * power) % p
-            power = power * x % p
-        return out
-
     def is_solution(self, x, noise):
         p = self.prime
-        a = self.column_values(self.coeffs1, x)
-        b = self.column_values(self.coeffs2, x)
+        a = column_values(self.coeffs1, x, p)
+        b = column_values(self.coeffs2, x, p)
         return (
             sum(aj * r for aj, r in zip(a, noise)) % p == self.rhs1
             and sum(bj * r for bj, r in zip(b, noise)) % p == self.rhs2
@@ -159,8 +164,8 @@ class ReducedNormalForm:
         """
         src = self.source
         p = src.prime
-        a = src.column_values(src.coeffs1, x)
-        b = src.column_values(src.coeffs2, x)
+        a = column_values(src.coeffs1, x, p)
+        b = column_values(src.coeffs2, x, p)
         e = self.eliminated
         rest = list(noise)
         rest[e:e] = [0]  # placeholder at the eliminated slot
@@ -264,8 +269,8 @@ def brute_force_solutions(target):
         return SolutionSet(target, tuple(sols))
     m = target.noise_vars
     for x in range(p):
-        a = target.column_values(target.coeffs1, x)
-        b = target.column_values(target.coeffs2, x)
+        a = column_values(target.coeffs1, x, p)
+        b = column_values(target.coeffs2, x, p)
         for noise in itertools.product(range(p), repeat=m):
             if (
                 sum(aj * r for aj, r in zip(a, noise)) % p == target.rhs1
@@ -327,16 +332,6 @@ class IndCpaChallenge:
     def noise_vars(self):
         return len(self.public_coeffs[0])
 
-    def column_values(self, message):
-        p = self.prime
-        out = [0] * self.noise_vars
-        power = 1
-        for row in self.public_coeffs:
-            for j, c in enumerate(row):
-                out[j] = (out[j] + c * power) % p
-            power = power * message % p
-        return out
-
 
 def ind_cpa_game(params, adversary, trials, rng):
     """Measured distinguishing advantage of an adversary over the game.
@@ -362,12 +357,7 @@ def ind_cpa_game(params, adversary, trials, rng):
             m1 = rng.below(p)
         hidden = rng.bits(1)
         message = m1 if hidden else m0
-        cols = [0] * m
-        power = 1
-        for row in table:
-            for j, c in enumerate(row):
-                cols[j] = (cols[j] + c * power) % p
-            power = power * message % p
+        cols = column_values(table, message, p)
         if all(c == 0 for c in cols):
             continue  # evaluation identically zero; redraw the instance
         evaluation = 0
@@ -427,7 +417,7 @@ class ExhaustiveLikelihoodAdversary:
             raise SearchSpaceTooLarge("likelihood enumeration exceeds the guard")
         counts = []
         for candidate in (m0, m1):
-            cols = challenge.column_values(candidate)
+            cols = column_values(challenge.public_coeffs, candidate, p)
             counts.append(
                 sum(
                     1
@@ -549,35 +539,7 @@ def random_ring_instance(params, s_bits, rng):
     condition: the search target only needs the masked product structure,
     and shrinking the ring is what makes enumeration tractable.
     """
-    from .block import keypair_from_values
-
-    p = params.prime
-    modulus = (1 << (s_bits - 1)) | rng.bits(s_bits - 1)
-    units = []
-    while len(units) < 2:
-        r = rng.below(modulus)
-        if r != 0 and gcd(r, modulus) == 1:
-            units.append(r)
-
-    def factor():
-        coeffs = [rng.below(p) for _ in range(params.factor_degree + 1)]
-        while coeffs[-1] == 0:
-            coeffs[-1] = rng.below(p)
-        return coeffs
-
-    f1 = factor()
-    f2 = factor()
-    while all(
-        (f1[i] * f2[k] - f1[k] * f2[i]) % p == 0
-        for i in range(len(f1))
-        for k in range(len(f1))
-    ):
-        f2 = factor()
-    base = [
-        [rng.below(p) for _ in range(params.noise_vars)]
-        for _ in range(params.base_degree + 1)
-    ]
-    return keypair_from_values(params, modulus, units[0], units[1], f1, f2, base)
+    return sample_keypair(params, s_bits, rng)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,16 @@ message variable, linear in each noise variable) and two factor
 polynomials f1, f2 over F_p.  The plain public maps are the products
 p1 = b*f1 and p2 = b*f2, held as (message_degree+1) x noise_vars
 coefficient matrices; the published key masks each map with its own
-hidden-ring multiplier.  b is used only to build the products and is
-discarded.
+hidden-ring key.  b is used only to build the products and is
+discarded.  Masking, evaluation and unmasking all go through fhe.
 
-Encrypting evaluates both cipher maps at the secret x and fresh noise,
-over the integers.  Decrypting unmasks both values to c1 = b(x)f1(x) and
-c2 = b(x)f2(x) mod p; the base polynomial cancels from
-c2*f1(x) - c1*f2(x) = 0 (mod p), a linear (factor_degree 1) or quadratic
-(factor_degree 2) congruence in x that is solved without first forming
-the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC flag in the
-plaintext so the right root can be identified.
+Encrypting evaluates both cipher maps against one monomial table of the
+secret x and fresh noise, over the integers.  Decrypting unmasks both
+values to c1 = b(x)f1(x) and c2 = b(x)f2(x) mod p; the base polynomial
+cancels from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear (factor_degree 1)
+or quadratic (factor_degree 2) congruence in x that is solved without
+first forming the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC
+flag in the plaintext so the right root can be identified.
 """
 
 from dataclasses import dataclass
@@ -34,27 +34,32 @@ _CRC_POLY = 0x07  # x^8 + x^2 + x + 1, MSB first, init 0, no final xor
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Hidden ring modulus, the two unit multipliers with inverses, and f1, f2."""
+    """The two hidden-ring keys, over one shared modulus, and f1, f2."""
 
-    modulus: int
-    r1: int
-    r2: int
-    r1_inv: int
-    r2_inv: int
+    key1: fhe.HomomorphicKey
+    key2: fhe.HomomorphicKey
     f1: tuple
     f2: tuple
 
     def __post_init__(self):
-        ensure_wide(self.modulus, "ring modulus")
-        for r, r_inv in ((self.r1, self.r1_inv), (self.r2, self.r2_inv)):
-            if not 0 < r < self.modulus:
-                raise ValueError("multiplier out of range")
-            if r * r_inv % self.modulus != 1:
-                raise ValueError("multiplier inverse is wrong")
+        if self.key1.ring != self.key2.ring:
+            raise ValueError("both multipliers must belong to one hidden ring")
         if len(self.f1) != len(self.f2):
             raise ValueError("factor polynomials must have equal length")
         if self.f1[-1] == 0 or self.f2[-1] == 0:
             raise ValueError("factor polynomials need nonzero leading coefficients")
+
+    @property
+    def modulus(self):
+        return self.key1.ring.modulus
+
+    @property
+    def r1(self):
+        return self.key1.mult
+
+    @property
+    def r2(self):
+        return self.key2.mult
 
 
 @dataclass(frozen=True)
@@ -180,6 +185,16 @@ def _sample_factor(prime, degree, rng):
     return coeffs
 
 
+def _assemble(params, key1, key2, f1, f2, base_rows):
+    """Build both products b*f1, b*f2 and mask each under its own key."""
+    p = params.prime
+    pk = PublicKey(
+        fhe.encrypt_coeffs(key1, build_plain_central_map(base_rows, f1, p)),
+        fhe.encrypt_coeffs(key2, build_plain_central_map(base_rows, f2, p)),
+    )
+    return PrivateKey(key1, key2, tuple(f1), tuple(f2)), pk
+
+
 def keypair_from_values(params, modulus, r1, r2, f1, f2, base_rows):
     """Assemble a key pair from explicit private values (fixtures, KATs)."""
     if len(f1) != params.factor_degree + 1 or len(f2) != params.factor_degree + 1:
@@ -193,26 +208,11 @@ def keypair_from_values(params, modulus, r1, r2, f1, f2, base_rows):
     key2 = fhe.HomomorphicKey(ring, r2, mod_inverse(r2, modulus))
     if _proportional(f1, f2, params.prime):
         raise ValueError("factor polynomials are proportional mod p")
-    plain1 = build_plain_central_map(base_rows, f1, params.prime)
-    plain2 = build_plain_central_map(base_rows, f2, params.prime)
-    pk = PublicKey(
-        tuple(tuple(fhe.encrypt_value(key1, c) for c in row) for row in plain1),
-        tuple(tuple(fhe.encrypt_value(key2, c) for c in row) for row in plain2),
-    )
-    sk = PrivateKey(
-        modulus=modulus,
-        r1=r1,
-        r2=r2,
-        r1_inv=key1.mult_inv,
-        r2_inv=key2.mult_inv,
-        f1=tuple(f1),
-        f2=tuple(f2),
-    )
-    return sk, pk
+    return _assemble(params, key1, key2, f1, f2, base_rows)
 
 
-def keygen(params, rng):
-    """Sample a key pair.
+def sample_keypair(params, ring_bits, rng):
+    """Sample a key pair of the profile's shape over a ring_bits-wide ring.
 
     Draw order is fixed (it is the seeded-KAT contract): ring modulus,
     r1, r2, f1 coefficients ascending, f2 likewise, then the base matrix
@@ -222,7 +222,7 @@ def keygen(params, rng):
     the products are built.
     """
     p = params.prime
-    ring = fhe.ring_gen(params.ring_bits, rng)
+    ring = fhe.ring_gen(ring_bits, rng)
     key1 = fhe.he_keygen(ring, rng)
     key2 = fhe.he_keygen(ring, rng)
     f1 = _sample_factor(p, params.factor_degree, rng)
@@ -233,22 +233,12 @@ def keygen(params, rng):
         [rng.below(p) for _ in range(params.noise_vars)]
         for _ in range(params.base_degree + 1)
     ]
-    plain1 = build_plain_central_map(base_rows, f1, p)
-    plain2 = build_plain_central_map(base_rows, f2, p)
-    pk = PublicKey(
-        tuple(tuple(fhe.encrypt_value(key1, c) for c in row) for row in plain1),
-        tuple(tuple(fhe.encrypt_value(key2, c) for c in row) for row in plain2),
-    )
-    sk = PrivateKey(
-        modulus=ring.modulus,
-        r1=key1.mult,
-        r2=key2.mult,
-        r1_inv=key1.mult_inv,
-        r2_inv=key2.mult_inv,
-        f1=tuple(f1),
-        f2=tuple(f2),
-    )
-    return sk, pk
+    return _assemble(params, key1, key2, f1, f2, base_rows)
+
+
+def keygen(params, rng):
+    """Sample a key pair over the profile's ring (see sample_keypair)."""
+    return sample_keypair(params, params.ring_bits, rng)
 
 
 # -- block encryption / decryption
@@ -279,13 +269,9 @@ def encrypt_block(pk, params, x, noise):
     if all(r == 0 for r in noise):
         raise AllZeroNoise("all-zero noise would produce a trivial ciphertext")
     table = monomial_table(params, x, noise)
-    v1 = sum(
-        c * t for row, trow in zip(pk.p1, table) for c, t in zip(row, trow)
+    return BlockCiphertext(
+        fhe.eval_cipher_poly(pk.p1, table), fhe.eval_cipher_poly(pk.p2, table)
     )
-    v2 = sum(
-        c * t for row, trow in zip(pk.p2, table) for c, t in zip(row, trow)
-    )
-    return BlockCiphertext(v1, v2)
 
 
 def _projective_factors(sk, params, ct):
@@ -296,9 +282,8 @@ def _projective_factors(sk, params, ct):
     where the equation carries no information about x.
     """
     p = params.prime
-    s = sk.modulus
-    c1 = sk.r1_inv * ct.value1 % s % p
-    c2 = sk.r2_inv * ct.value2 % s % p
+    c1 = fhe.decrypt_value(sk.key1, ct.value1, p)
+    c2 = fhe.decrypt_value(sk.key2, ct.value2, p)
     if c2 == 0:
         raise ZeroDenominator("second map evaluates to 0 mod p")
     return [(c2 * a - c1 * b) % p for a, b in zip(sk.f1, sk.f2)]

@@ -10,7 +10,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, bench, kat, kem
+from . import analysis, bench, fhe, kat, kem
 from .block import encrypt_block, keygen, keypair_from_values
 from .errors import (
     DecapsFailure,
@@ -238,12 +238,8 @@ def _attack_fratio(args, writer):
     for instance in range(args.instances):
         start = time.perf_counter()
         sk, pk = keygen(params, rng)
-        plain1 = tuple(
-            tuple(sk.r1_inv * c % sk.modulus % p for c in row) for row in pk.p1
-        )
-        plain2 = tuple(
-            tuple(sk.r2_inv * c % sk.modulus % p for c in row) for row in pk.p2
-        )
+        plain1 = fhe.decrypt_coeffs(sk.key1, pk.p1, p)
+        plain2 = fhe.decrypt_coeffs(sk.key2, pk.p2, p)
         set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
         found = (
             analysis.true_ratio(sk.f1, p) in set1

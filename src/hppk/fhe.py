@@ -1,11 +1,13 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
 A key is a pair (R, S): S is a secret ring modulus and R a unit of Z_S.
-Encrypting a polynomial multiplies every coefficient by R mod S; the
-variables stay in F_p, so anyone can still evaluate the cipher polynomial
-by computing each monomial mod p and accumulating coefficient * monomial
-over the plain integers.  Whoever holds (R, S) undoes the mask with
-R^-1 mod S and reduces mod p to recover the plain polynomial value.
+A polynomial is held as a coefficient matrix (rows x cols), and a point
+of evaluation as a table of monomial values mod p of the same shape;
+any polynomial with T terms is a 1 x T matrix.  Encrypting multiplies
+every coefficient by R mod S.  The variables stay in F_p, so anyone can
+still evaluate the cipher polynomial: the sum of coefficient * monomial
+value over the plain integers.  Whoever holds (R, S) undoes the mask
+with R^-1 mod S and reduces mod p to recover the plain polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
 size condition bit_length(S) > 2*bit_length(p) + bit_length(term_count)
@@ -15,7 +17,6 @@ homomorphic; it does not support multiplying two ciphertexts.
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
 from .modmath import ensure_wide, mod_inverse
 
@@ -35,10 +36,6 @@ class HiddenRing:
     def bit_length(self):
         return self.modulus.bit_length()
 
-    def supports(self, prime_bits, term_count):
-        """Ring size condition for polynomials with term_count coefficients mod p."""
-        return self.bit_length > 2 * prime_bits + term_count.bit_length()
-
 
 @dataclass(frozen=True)
 class HomomorphicKey:
@@ -54,64 +51,6 @@ class HomomorphicKey:
             raise ValueError("multiplier must lie in (0, S)")
         if self.mult * self.mult_inv % s != 1:
             raise ValueError("multiplier inverse is wrong")
-
-
-@dataclass(frozen=True)
-class PlainPoly:
-    """Polynomial over F_p: ordered monomial exponent vectors plus coefficients.
-
-    monomials[k] gives the exponent of each variable in term k; the
-    ordering is part of the object and is preserved by encryption.
-    """
-
-    prime: int
-    monomials: tuple
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.monomials) != len(self.coeffs):
-            raise ValueError("one coefficient per monomial required")
-        if any(not 0 <= c < self.prime for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-
-    @property
-    def term_count(self):
-        return len(self.coeffs)
-
-    def evaluate(self, assignment):
-        """Plain value sum(c_k * (X_k mod p)) mod p."""
-        return sum(
-            c * _monomial(mono, assignment, self.prime)
-            for c, mono in zip(self.coeffs, self.monomials)
-        ) % self.prime
-
-
-@dataclass(frozen=True)
-class CipherPoly:
-    """Same monomial layout as the source PlainPoly, coefficients in Z_S."""
-
-    ring: HiddenRing
-    monomials: tuple
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.monomials) != len(self.coeffs):
-            raise ValueError("one coefficient per monomial required")
-        if any(not 0 <= c < self.ring.modulus for c in self.coeffs):
-            raise ValueError("cipher coefficients must lie in [0, S)")
-
-
-class DecryptedValue(NamedTuple):
-    intermediate: int  # R^-1 * value mod S: the plain integer sum
-    residue: int  # intermediate mod p: the plain polynomial value
-
-
-def _monomial(exponents, assignment, p):
-    v = 1
-    for value, e in zip(assignment, exponents):
-        if e:
-            v = v * pow(value, e, p) % p
-    return v
 
 
 def ring_gen(bits, rng):
@@ -140,33 +79,33 @@ def encrypt_value(key, value):
     return key.mult * value % key.ring.modulus
 
 
-def encrypt_coeffs(key, poly):
-    """Encrypt every coefficient, keeping the monomial ordering."""
-    coeffs = tuple(encrypt_value(key, c) for c in poly.coeffs)
-    return CipherPoly(key.ring, poly.monomials, coeffs)
+def encrypt_coeffs(key, rows):
+    """Encrypt every coefficient of a matrix, keeping its shape."""
+    r, s = key.mult, key.ring.modulus
+    return tuple(tuple(r * c % s for c in row) for row in rows)
 
 
-def eval_cipher_poly(poly, assignment, prime):
-    """sum(coeff_k * (X_k mod p)) over the integers; no final reduction.
+def eval_cipher_poly(rows, table):
+    """sum(coeff * monomial value) over the integers; no final reduction.
 
-    assignment must supply a value in [0, p) for every variable the
-    monomial vectors reference.
+    table holds the value mod p of the monomial at every position of
+    rows, so the caller fixes both the variables and the monomial shape.
     """
-    if any(not 0 <= v < prime for v in assignment):
-        raise ValueError("assignment values must lie in [0, p)")
-    return sum(
-        c * _monomial(mono, assignment, prime)
-        for c, mono in zip(poly.coeffs, poly.monomials)
-    )
+    return sum(c * t for row, trow in zip(rows, table) for c, t in zip(row, trow))
 
 
 def decrypt_value(key, value, prime):
-    """Undo the ring mask and reduce.
+    """Undo the ring mask and reduce mod prime.
 
-    Returns (intermediate, residue): the recovered plain integer sum and
-    its value mod p.  Correct only when value came from eval_cipher_poly
-    under the matching key and the ring size condition held; a wrong key
-    yields garbage by design.
+    R^-1 * value mod S is the plain integer sum, so reducing it mod p
+    gives the plain polynomial value.  Correct only when value came from
+    eval_cipher_poly under the matching key and the ring size condition
+    held; a wrong key yields garbage by design.
     """
-    intermediate = key.mult_inv * value % key.ring.modulus
-    return DecryptedValue(intermediate, intermediate % prime)
+    return key.mult_inv * value % key.ring.modulus % prime
+
+
+def decrypt_coeffs(key, rows, prime):
+    """Recover a plain coefficient matrix mod prime from its encryption."""
+    r_inv, s = key.mult_inv, key.ring.modulus
+    return tuple(tuple(r_inv * c % s % prime for c in row) for row in rows)

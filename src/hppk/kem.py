@@ -17,10 +17,12 @@ File extensions: .hpk public key, .hsk secret key, .hct ciphertext,
 
 from dataclasses import dataclass
 
+from . import fhe
 from .block import (
     BlockCiphertext,
     PrivateKey,
     PublicKey,
+    _proportional,
     decrypt_block,
     encrypt_block,
     format_plaintext,
@@ -182,8 +184,11 @@ def deserialize_sk(data, params):
         raise MalformedEncoding("ring modulus has the wrong bit length")
     if not (0 < r1 < modulus and 0 < r2 < modulus):
         raise MalformedEncoding("multiplier is not a unit of the ring")
+    ring = fhe.HiddenRing(modulus)
     try:
-        r1_inv, r2_inv = mod_inverse(r1, modulus), mod_inverse(r2, modulus)
+        key1, key2 = [
+            fhe.HomomorphicKey(ring, r, mod_inverse(r, modulus)) for r in (r1, r2)
+        ]
     except NotCoprime as err:
         raise MalformedEncoding("multiplier is not a unit of the ring") from err
     coeffs = _chunk(data[3 * w :], 8)
@@ -193,21 +198,9 @@ def deserialize_sk(data, params):
     f1, f2 = tuple(coeffs[:k]), tuple(coeffs[k:])
     if f1[-1] == 0 or f2[-1] == 0:
         raise MalformedEncoding("factor polynomial has a zero leading coefficient")
-    if all(
-        (f1[i] * f2[j] - f1[j] * f2[i]) % params.prime == 0
-        for i in range(k)
-        for j in range(i + 1, k)
-    ):
+    if _proportional(f1, f2, params.prime):
         raise MalformedEncoding("factor polynomials are proportional")
-    return PrivateKey(
-        modulus=modulus,
-        r1=r1,
-        r2=r2,
-        r1_inv=r1_inv,
-        r2_inv=r2_inv,
-        f1=f1,
-        f2=f2,
-    )
+    return PrivateKey(key1, key2, f1, f2)
 
 
 def serialize_ct(ct, params):

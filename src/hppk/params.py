@@ -20,7 +20,7 @@ without --insecure-test-profile.
 
 from dataclasses import dataclass, field
 
-from .modmath import is_prime_64
+from .modmath import WIDE_BITS, is_prime_64
 
 DEFAULT_PRIME_64 = (1 << 64) - 59
 
@@ -39,7 +39,8 @@ class ParameterSet:
     factor_degree  order of the two factor polynomials f1, f2 (1 or 2)
     noise_vars     number of noise variables
     ring_bits      exact bit length of the hidden ring modulus; defaults
-                   to 2 * prime_bits + 8
+                   to 2 * prime_bits + 8, and value_bits may not exceed
+                   the 256-bit capacity of the arithmetic
     """
 
     prime: int
@@ -65,6 +66,11 @@ class ParameterSet:
         if self.ring_bits <= 2 * self.prime_bits + self.term_count.bit_length():
             raise ValueError(
                 "ring_bits must exceed 2*prime_bits + bit_length(term_count)"
+            )
+        if self.value_bits > WIDE_BITS:
+            raise ValueError(
+                f"ciphertext values need {self.value_bits} bits, "
+                f"more than the {WIDE_BITS}-bit capacity"
             )
         if self.factor_degree == 2 and self.prime_bits <= _FLAG_BITS:
             raise ValueError("prime too small to carry an 8-bit flag")

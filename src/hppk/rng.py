@@ -25,7 +25,18 @@ GENERATOR_ID = "shake256-ctr"
 _BLOCK_BYTES = 64
 
 
-class DeterministicStream:
+class _ByteSource:
+    """bits() over take_bytes(), shared by the byte-backed sources."""
+
+    def bits(self, k):
+        if k <= 0:
+            raise ValueError("k must be positive")
+        nbytes = (k + 7) // 8
+        v = int.from_bytes(self.take_bytes(nbytes), "little")
+        return v & ((1 << k) - 1)
+
+
+class DeterministicStream(_ByteSource):
     """Seeded SHAKE256 counter-mode byte stream."""
 
     def __init__(self, seed):
@@ -45,13 +56,6 @@ class DeterministicStream:
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
-    def bits(self, k):
-        if k <= 0:
-            raise ValueError("k must be positive")
-        nbytes = (k + 7) // 8
-        v = int.from_bytes(self.take_bytes(nbytes), "little")
-        return v & ((1 << k) - 1)
-
     def below(self, n):
         if n <= 0:
             raise ValueError("n must be positive")
@@ -64,18 +68,11 @@ class DeterministicStream:
                 return v
 
 
-class SystemRng:
+class SystemRng(_ByteSource):
     """Operating-system randomness behind the same interface."""
 
     def take_bytes(self, n):
         return secrets.token_bytes(n)
-
-    def bits(self, k):
-        if k <= 0:
-            raise ValueError("k must be positive")
-        nbytes = (k + 7) // 8
-        v = int.from_bytes(self.take_bytes(nbytes), "little")
-        return v & ((1 << k) - 1)
 
     def below(self, n):
         if n <= 0:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here and nowhere else.
 """
 
+import math
 import random
 import time
 
@@ -39,8 +40,8 @@ def _toy_end_to_end():
     assert pk.p2 == ((6152, 3245), (3891, 6152), (3568, 2922))
     ct = encrypt_block(pk, TOY, 8, (3, 6))
     assert (ct.value1, ct.value2) == (198082, 192229)
-    c1 = sk.r1_inv * ct.value1 % sk.modulus % 13
-    c2 = sk.r2_inv * ct.value2 % sk.modulus % 13
+    c1 = fhe.decrypt_value(sk.key1, ct.value1, 13)
+    c2 = fhe.decrypt_value(sk.key2, ct.value2, 13)
     assert (c1, c2) == (8, 9)
     assert c1 * mod_inverse(c2, 13) % 13 == 11
     assert decrypt_block(sk, TOY, ct) == 8
@@ -124,13 +125,11 @@ def test_criterion_04_homomorphic_property_suite():
         ) % s
         r = rng.randrange(p)
         assert (
-            fhe.eval_cipher_poly(
-                fhe.encrypt_coeffs(key, fhe.PlainPoly(p, ((1,),), (a,))),
-                (r,), p,
-            )
+            fhe.eval_cipher_poly(fhe.encrypt_coeffs(key, ((a,),)), ((r,),))
             == fhe.encrypt_value(key, a) * r
         )
-    # decrypt-of-encrypt round trips, linear and quadratic monomial shapes
+    # decrypt-of-encrypt round trips, linear and quadratic monomial shapes,
+    # each polynomial a 1 x T matrix against its own table of monomial values
     for shape in ("linear", "quadratic"):
         for _ in range(5000):
             p = rng.choice(primes)
@@ -149,14 +148,17 @@ def test_criterion_04_homomorphic_property_suite():
             ring = fhe.ring_gen(2 * p.bit_length() + terms.bit_length() + 1,
                                 _Wrap(rng))
             key = fhe.he_keygen(ring, _Wrap(rng))
-            poly = fhe.PlainPoly(
-                p, monomials, tuple(rng.randrange(p) for _ in monomials)
-            )
+            rows = (tuple(rng.randrange(p) for _ in monomials),)
             assignment = tuple(rng.randrange(p) for _ in range(m))
-            value = fhe.eval_cipher_poly(fhe.encrypt_coeffs(key, poly),
-                                         assignment, p)
-            assert fhe.decrypt_value(key, value, p).residue == poly.evaluate(
-                assignment
+            table = (tuple(
+                math.prod(pow(v, e, p) for v, e in zip(assignment, mono)) % p
+                for mono in monomials
+            ),)
+            cipher = fhe.encrypt_coeffs(key, rows)
+            assert fhe.decrypt_coeffs(key, cipher, p) == rows
+            value = fhe.eval_cipher_poly(cipher, table)
+            assert fhe.decrypt_value(key, value, p) == (
+                fhe.eval_cipher_poly(rows, table) % p
             )
     _report(4, "additive/scalar identities (10^4 pairs) and round trips "
                "(linear + quadratic shapes): zero failures")
@@ -209,14 +211,8 @@ def test_criterion_07_factor_ratio_recovery():
             rng = DeterministicStream(f"acceptance-7-{prime}-{nb}".encode())
             for _ in range(100):
                 sk, pk = keygen(params, rng)
-                plain1 = tuple(
-                    tuple(sk.r1_inv * c % sk.modulus % prime for c in row)
-                    for row in pk.p1
-                )
-                plain2 = tuple(
-                    tuple(sk.r2_inv * c % sk.modulus % prime for c in row)
-                    for row in pk.p2
-                )
+                plain1 = fhe.decrypt_coeffs(sk.key1, pk.p1, prime)
+                plain2 = fhe.decrypt_coeffs(sk.key2, pk.p2, prime)
                 set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
                 assert analysis.true_ratio(sk.f1, prime) in set1
                 assert analysis.true_ratio(sk.f2, prime) in set2

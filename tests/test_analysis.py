@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hppk import analysis, kat
+from hppk import analysis, fhe, kat
 from hppk.block import encrypt_block, keygen, keypair_from_values
 from hppk.errors import (
     EliminationFailed,
@@ -24,13 +24,10 @@ P13M3 = ParameterSet(prime=13, base_degree=1, factor_degree=1, noise_vars=3,
 
 
 def _plain_maps(sk, pk, prime):
-    plain1 = tuple(
-        tuple(sk.r1_inv * c % sk.modulus % prime for c in row) for row in pk.p1
+    return (
+        fhe.decrypt_coeffs(sk.key1, pk.p1, prime),
+        fhe.decrypt_coeffs(sk.key2, pk.p2, prime),
     )
-    plain2 = tuple(
-        tuple(sk.r2_inv * c % sk.modulus % prime for c in row) for row in pk.p2
-    )
-    return plain1, plain2
 
 
 # -- mod-p view
@@ -297,6 +294,15 @@ def test_ring_search_finds_toy_key(toy_params, toy_keypair):
     result = analysis.ring_key_search(pk, toy_params, 13)
     assert result.contains(6798, 4267, 6475)
     assert result.total_triples >= 1
+
+
+@pytest.mark.parametrize("label", ["toy", "level1-nb1"])
+def test_ring_instance_at_profile_width_is_keygen(label):
+    params = PARAMETER_SETS[label]
+    seed = f"ring-instance-{label}".encode()
+    assert analysis.random_ring_instance(
+        params, params.ring_bits, DeterministicStream(seed)
+    ) == keygen(params, DeterministicStream(seed))
 
 
 def test_ring_search_work_grows_with_ring_bits(toy_params):

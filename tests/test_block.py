@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hppk import kat
+from hppk import fhe, kat
 from hppk.block import (
     build_plain_central_map,
     crc8,
@@ -101,8 +101,8 @@ def test_encrypt_block_validates_ranges(toy_params, toy_keypair):
 def test_decrypt_block_toy(toy_params, toy_keypair, toy_block):
     sk, _ = toy_keypair
     # intermediate residues and the factor ratio, step by step
-    c1 = sk.r1_inv * toy_block.value1 % sk.modulus % 13
-    c2 = sk.r2_inv * toy_block.value2 % sk.modulus % 13
+    c1 = fhe.decrypt_value(sk.key1, toy_block.value1, 13)
+    c2 = fhe.decrypt_value(sk.key2, toy_block.value2, 13)
     assert (c1, c2) == (8, 9)
     assert c1 * mod_inverse(c2, 13) % 13 == 11
     assert decrypt_block(sk, toy_params, toy_block) == 8
@@ -141,12 +141,8 @@ def test_factorization_identity_random_keys():
     rng = DeterministicStream(b"\x02" * 32)
     p = params.prime
     sk, pk = keygen(params, rng)
-    plain1 = [
-        [sk.r1_inv * c % sk.modulus % p for c in row] for row in pk.p1
-    ]
-    plain2 = [
-        [sk.r2_inv * c % sk.modulus % p for c in row] for row in pk.p2
-    ]
+    plain1 = fhe.decrypt_coeffs(sk.key1, pk.p1, p)
+    plain2 = fhe.decrypt_coeffs(sk.key2, pk.p2, p)
     check = random.Random(2)
     for _ in range(100):
         x = check.randrange(p)
@@ -180,8 +176,8 @@ def test_ratio_identity_on_ciphertexts():
         if all(v == 0 for v in noise):
             continue
         ct = encrypt_block(pk, params, x, noise)
-        c1 = sk.r1_inv * ct.value1 % sk.modulus % p
-        c2 = sk.r2_inv * ct.value2 % sk.modulus % p
+        c1 = fhe.decrypt_value(sk.key1, ct.value1, p)
+        c2 = fhe.decrypt_value(sk.key2, ct.value2, p)
         f1x = sum(c * pow(x, i, p) for i, c in enumerate(sk.f1)) % p
         f2x = sum(c * pow(x, i, p) for i, c in enumerate(sk.f2)) % p
         assert c1 * f2x % p == c2 * f1x % p

@@ -32,12 +32,6 @@ def test_ring_gen_rejects_tiny_widths():
         fhe.ring_gen(1, StubRng([0]))
 
 
-def test_ring_size_condition_helper():
-    ring = fhe.HiddenRing(6798)
-    assert ring.supports(prime_bits=4, term_count=6)  # 13 > 8 + 3
-    assert not ring.supports(prime_bits=5, term_count=6)  # 13 > 10 + 3 fails
-
-
 def test_he_keygen_toy_keys():
     ring = fhe.HiddenRing(6798)
     key1 = fhe.he_keygen(ring, StubRng([4267]))
@@ -53,48 +47,53 @@ def test_he_keygen_rejects_non_units():
     assert key.mult == 5
 
 
+# the toy key's plain map b*f1, and both maps masked under R1 = 4267, R2 = 6475
+TOY_PLAIN1 = ((6, 7), (9, 11), (11, 8))
+TOY_CIPHER1 = ((5208, 2677), (4413, 6149), (6149, 146))
+TOY_CIPHER2 = ((6152, 3245), (3891, 6152), (3568, 2922))
+# monomial values x**i * noise_j mod 13 at x = 8, noise = (3, 6)
+TOY_TABLE = ((3, 6), (11, 9), (10, 7))
+
+
 def test_encrypt_coeffs_toy_values():
     ring = fhe.HiddenRing(6798)
     key = fhe.HomomorphicKey(ring, 4267, 6379)
     assert fhe.encrypt_value(key, 6) == 5208
     assert fhe.encrypt_value(key, 9) == 4413
     assert fhe.encrypt_value(key, 0) == 0
-
-
-def _toy_cipher_poly(coeffs):
-    # a toy public map as one flat polynomial over (x, x1, x2),
-    # row-major in (power of x, noise index)
-    ring = fhe.HiddenRing(6798)
-    monomials = tuple(
-        (i, 1, 0) if j == 0 else (i, 0, 1) for i in range(3) for j in range(2)
-    )
-    return fhe.CipherPoly(ring, monomials, coeffs)
+    assert fhe.encrypt_coeffs(key, TOY_PLAIN1) == TOY_CIPHER1
+    assert fhe.decrypt_coeffs(key, TOY_CIPHER1, 13) == TOY_PLAIN1
 
 
 def test_eval_cipher_poly_toy_values():
-    poly1 = _toy_cipher_poly((5208, 2677, 4413, 6149, 6149, 146))
-    assert fhe.eval_cipher_poly(poly1, (8, 3, 6), 13) == 198082
-    assert fhe.eval_cipher_poly(poly1, (0, 0, 0), 13) == 0
-    poly2 = _toy_cipher_poly((6152, 3245, 3891, 6152, 3568, 2922))
-    assert fhe.eval_cipher_poly(poly2, (8, 3, 6), 13) == 192229
+    assert fhe.eval_cipher_poly(TOY_CIPHER1, TOY_TABLE) == 198082
+    assert fhe.eval_cipher_poly(TOY_CIPHER1, ((0, 0),) * 3) == 0
+    assert fhe.eval_cipher_poly(TOY_CIPHER2, TOY_TABLE) == 192229
 
 
 def test_decrypt_value_toy():
     ring = fhe.HiddenRing(6798)
     key1 = fhe.HomomorphicKey(ring, 4267, 6379)
-    got = fhe.decrypt_value(key1, 198082, 13)
-    assert got.intermediate == 424  # 6*3 + 9*11 + 11*10 + 7*6 + 11*9 + 8*7
-    assert got.residue == 8
+    # 6*3 + 9*11 + 11*10 + 7*6 + 11*9 + 8*7
+    assert fhe.eval_cipher_poly(TOY_PLAIN1, TOY_TABLE) == 424
+    # reducing by S itself leaves the unmasked plain integer sum
+    assert fhe.decrypt_value(key1, 198082, ring.modulus) == 424
+    assert fhe.decrypt_value(key1, 198082, 13) == 8
     key2 = fhe.HomomorphicKey(ring, 6475, 5893)
-    assert fhe.decrypt_value(key2, 192229, 13).residue == 9
-    assert fhe.decrypt_value(key1, 0, 13) == (0, 0)
+    assert fhe.decrypt_value(key2, 192229, 13) == 9
+    assert fhe.decrypt_value(key1, 0, ring.modulus) == 0
+    assert fhe.decrypt_value(key1, 0, 13) == 0
 
 
-def test_plain_poly_validation():
-    with pytest.raises(ValueError):
-        fhe.PlainPoly(13, ((1, 0),), (13,))  # coefficient not reduced
-    with pytest.raises(ValueError):
-        fhe.PlainPoly(13, ((1, 0),), (1, 2))  # shape mismatch
+def _monomial_row(monomials, assignment, p):
+    """1 x T table: each monomial's value mod p, in exponent-vector order."""
+    row = []
+    for exponents in monomials:
+        v = 1
+        for value, e in zip(assignment, exponents):
+            v = v * pow(value, e, p) % p
+        row.append(v)
+    return (tuple(row),)
 
 
 def _random_roundtrip(rng, p, monomials, nvars):
@@ -102,15 +101,14 @@ def _random_roundtrip(rng, p, monomials, nvars):
     ring_bits = 2 * p.bit_length() + term_count.bit_length() + 1
     ring = fhe.ring_gen(ring_bits, _wrap(rng))
     key = fhe.he_keygen(ring, _wrap(rng))
-    poly = fhe.PlainPoly(
-        p, monomials, tuple(rng.randrange(p) for _ in monomials)
-    )
+    rows = (tuple(rng.randrange(p) for _ in monomials),)
     assignment = tuple(rng.randrange(p) for _ in range(nvars))
-    cipher = fhe.encrypt_coeffs(key, poly)
-    value = fhe.eval_cipher_poly(cipher, assignment, p)
+    table = _monomial_row(monomials, assignment, p)
+    cipher = fhe.encrypt_coeffs(key, rows)
+    assert fhe.decrypt_coeffs(key, cipher, p) == rows
+    value = fhe.eval_cipher_poly(cipher, table)
     assert value < term_count * ring.modulus * p
-    got = fhe.decrypt_value(key, value, p)
-    assert got.residue == poly.evaluate(assignment)
+    assert fhe.decrypt_value(key, value, p) == fhe.eval_cipher_poly(rows, table) % p
 
 
 class _wrap:
@@ -168,9 +166,8 @@ def test_scalar_multiplicative_homomorphism():
         p = _random_prime(rng, rng.choice((8, 32, 64)))
         a = rng.randrange(p)
         scalar = rng.randrange(p)
-        poly = fhe.PlainPoly(p, ((1,),), (a,))
-        cipher = fhe.encrypt_coeffs(key, poly)
+        cipher = fhe.encrypt_coeffs(key, ((a,),))
         assert (
-            fhe.eval_cipher_poly(cipher, (scalar,), p)
+            fhe.eval_cipher_poly(cipher, ((scalar,),))
             == fhe.encrypt_value(key, a) * scalar
         )

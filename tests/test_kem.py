@@ -1,6 +1,6 @@
 import pytest
 
-from hppk import kem
+from hppk import fhe, kem
 from hppk.block import BlockCiphertext, encrypt_block, keygen
 from hppk.errors import (
     DecapsFailure,
@@ -81,7 +81,9 @@ def test_decaps_failure_carries_block_index(toy_params, toy_keypair):
 
 def _crafted_block(sk, c1, c2):
     """A block whose values unmask to c1, c2 under sk."""
-    return BlockCiphertext(sk.r1 * c1 % sk.modulus, sk.r2 * c2 % sk.modulus)
+    return BlockCiphertext(
+        fhe.encrypt_value(sk.key1, c1), fhe.encrypt_value(sk.key2, c2)
+    )
 
 
 def _toy_failures(sk):
@@ -204,6 +206,22 @@ def test_deserialize_ct_admits_worst_case_value():
     ct = kem.KemCiphertext((BlockCiphertext(worst, worst),) * params.block_count)
     blob = kem.serialize_ct(ct, params)
     assert kem.deserialize_ct(blob, params) == ct
+
+
+def test_parsers_total_at_widest_custom_profile():
+    # ring_bits 184 puts value_bits exactly at the 256-bit capacity
+    params = ParameterSet(
+        prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1, noise_vars=3,
+        ring_bits=184,
+    )
+    assert params.value_bits == 256
+    # all-ones values sit just below each width bound, so pk and ct parse
+    pk = kem.deserialize_pk(b"\xff" * params.public_key_bytes, params)
+    assert pk.p1[0][0] == (1 << 184) - 1
+    ct = kem.deserialize_ct(b"\xff" * params.ciphertext_bytes, params)
+    assert ct.blocks[0].value1 == (1 << 256) - 1
+    with pytest.raises(MalformedEncoding):  # r1 = S is not a unit
+        kem.deserialize_sk(b"\xff" * params.secret_key_bytes, params)
 
 
 def test_deserialize_ct_rejects_oversized_values(toy_params):

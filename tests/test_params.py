@@ -61,6 +61,14 @@ def test_validation_rejects_bad_shapes():
         ParameterSet(**{**good, "factor_degree": 2})
 
 
+@pytest.mark.parametrize("ring_bits", [200, 260])
+def test_rejects_values_wider_than_capacity(ring_bits):
+    # 64-bit prime and 8 margin bits: ring_bits 200 needs 272-bit values
+    with pytest.raises(ValueError):
+        ParameterSet(prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1,
+                     noise_vars=3, ring_bits=ring_bits)
+
+
 def test_toy_profile_shape():
     toy = PARAMETER_SETS["toy"]
     assert (toy.prime, toy.base_degree, toy.factor_degree, toy.noise_vars) == (
