@@ -7,16 +7,24 @@ game, factor-ratio recovery from plain maps, and tiny hidden-ring key
 search.  Every enumeration carries an explicit search-space guard; none
 of this is a practical attack at production parameters, and the
 complexity claims are checked as growth trends, not absolute numbers.
+
+A system of congruences in the secret x and the noise is read one way:
+forms(x) fixes x and returns each congruence as a pair (noise
+coefficients, right-hand side), a linear form in the noise built by
+column_values.  The two-congruence ModPSystem and its one-congruence
+ReducedNormalForm both expose it, and checking, extending and
+enumerating solutions all go through it.
 """
 
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from functools import partial
+from operator import mul
 
 import numpy as np
 
-from .block import sample_keypair
+from .block import build_plain_central_map, sample_keypair
 from .errors import (
     DegenerateEquation,
     EliminationFailed,
@@ -51,8 +59,33 @@ def column_values(coeffs, x, p):
     return out
 
 
+def _dot(cols, noise, p):
+    return sum(map(mul, cols, noise)) % p
+
+
+def _noise_solutions(forms, p, m):
+    """Noise vectors in F_p^m, in product order, satisfying every form.
+
+    The first form is tested on its own before the rest: it rejects all
+    but about 1/p of the vectors, so the others are rarely evaluated.
+    """
+    (first, rhs), rest = forms[0], forms[1:]
+    for noise in itertools.product(range(p), repeat=m):
+        if sum(map(mul, first, noise)) % p == rhs and all(
+            _dot(cols, noise, p) == t for cols, t in rest
+        ):
+            yield noise
+
+
+class _Congruences:
+    """A system read through forms(x); see the module docstring."""
+
+    def is_solution(self, x, noise):
+        return all(_dot(cols, noise, self.prime) == t for cols, t in self.forms(x))
+
+
 @dataclass(frozen=True)
-class ModPSystem:
+class ModPSystem(_Congruences):
     """Two congruences sum(coeffs[i][j] * x^i * noise_j) = rhs (mod prime)."""
 
     prime: int
@@ -75,13 +108,11 @@ class ModPSystem:
     def degree(self):
         return len(self.coeffs1) - 1
 
-    def is_solution(self, x, noise):
+    def forms(self, x):
         p = self.prime
-        a = column_values(self.coeffs1, x, p)
-        b = column_values(self.coeffs2, x, p)
         return (
-            sum(aj * r for aj, r in zip(a, noise)) % p == self.rhs1
-            and sum(bj * r for bj, r in zip(b, noise)) % p == self.rhs2
+            (column_values(self.coeffs1, x, p), self.rhs1),
+            (column_values(self.coeffs2, x, p), self.rhs2),
         )
 
 
@@ -120,7 +151,7 @@ def normalize_system(sys):
 
 
 @dataclass(frozen=True)
-class ReducedNormalForm:
+class ReducedNormalForm(_Congruences):
     """Single equation H(x, remaining noise) - 1 = 0 over F_p.
 
     H has no constant term: the elimination constant is scaled to -1 and
@@ -141,19 +172,11 @@ class ReducedNormalForm:
     def noise_vars(self):
         return len(self.noise_coeffs[0])
 
-    def value_at(self, x, noise):
+    def forms(self, x):
+        """H(x, noise) = 1 as the one form: noise part = 1 - H(x, 0)."""
         p = self.prime
-        acc = 0
-        power = 1
-        for row, pure in zip(self.noise_coeffs, self.pure_coeffs):
-            acc = (acc + pure * power) % p
-            for c, r in zip(row, noise):
-                acc = (acc + c * power * r) % p
-            power = power * x % p
-        return acc
-
-    def is_solution(self, x, noise):
-        return self.value_at(x, noise) == 1
+        (pure,) = column_values([(c,) for c in self.pure_coeffs], x, p)
+        return ((column_values(self.noise_coeffs, x, p), (1 - pure) % p),)
 
     def extend_solution(self, x, noise):
         """Values of the eliminated variable completing (x, noise) in the source.
@@ -162,15 +185,13 @@ class ReducedNormalForm:
         returns every consistent value (all residues when both of its
         coefficients vanish and the remainders agree).
         """
-        src = self.source
-        p = src.prime
-        a = column_values(src.coeffs1, x, p)
-        b = column_values(src.coeffs2, x, p)
+        p = self.prime
+        (a, rhs1), (b, rhs2) = self.source.forms(x)
         e = self.eliminated
         rest = list(noise)
         rest[e:e] = [0]  # placeholder at the eliminated slot
-        d1 = (src.rhs1 - sum(aj * r for aj, r in zip(a, rest))) % p
-        d2 = (src.rhs2 - sum(bj * r for bj, r in zip(b, rest))) % p
+        d1 = (rhs1 - _dot(a, rest, p)) % p
+        d2 = (rhs2 - _dot(b, rest, p)) % p
         if a[e] != 0:
             t = d1 * mod_inverse(a[e], p) % p
             return [t] if b[e] * t % p == d2 else []
@@ -178,15 +199,6 @@ class ReducedNormalForm:
             t = d2 * mod_inverse(b[e], p) % p
             return [t] if d1 == 0 else []
         return list(range(p)) if d1 == 0 and d2 == 0 else []
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def reduce_to_single(sys):
@@ -199,31 +211,26 @@ def reduce_to_single(sys):
     constant.  Raises EliminationFailed when no variable qualifies.
     """
     p = sys.prime
-    m = sys.noise_vars
-    a_cols = [[row[j] for row in sys.coeffs1] for j in range(m)]
-    b_cols = [[row[j] for row in sys.coeffs2] for j in range(m)]
-    for e in range(m):
-        if all(c == 0 for c in b_cols[e]):
+    for e in range(sys.noise_vars):
+        a_e = [row[e] for row in sys.coeffs1]
+        b_e = [row[e] for row in sys.coeffs2]
+        constant = (sys.rhs2 * a_e[0] - sys.rhs1 * b_e[0]) % p
+        if not any(b_e) or constant == 0:
             continue
-        constant = (sys.rhs2 * a_cols[e][0] - sys.rhs1 * b_cols[e][0]) % p
-        if constant == 0:
-            continue
-        degree = 2 * sys.degree
-        noise_out = [[0] * (m - 1) for _ in range(degree + 1)]
-        for k, j in enumerate(jj for jj in range(m) if jj != e):
-            cross = _poly_mul(b_cols[e], a_cols[j], p)
-            minus = _poly_mul(a_cols[e], b_cols[j], p)
-            for i in range(len(cross)):
-                noise_out[i][k] = (cross[i] - minus[i]) % p
-        pure = [0] * (degree + 1)
-        for i in range(sys.degree + 1):
-            pure[i] = (sys.rhs2 * a_cols[e][i] - sys.rhs1 * b_cols[e][i]) % p
+        # column j of the result is b_e * a_j - a_e * b_j over the columns j != e
+        cross, minus = (
+            build_plain_central_map([row[:e] + row[e + 1 :] for row in rows], col, p)
+            for rows, col in ((sys.coeffs1, b_e), (sys.coeffs2, a_e))
+        )
+        pure = [(sys.rhs2 * a - sys.rhs1 * b) % p for a, b in zip(a_e, b_e)]
         pure[0] = 0  # the constant moves into the -1
+        pure += [0] * sys.degree
         scale = mod_inverse(-constant % p, p)
         return ReducedNormalForm(
             prime=p,
             noise_coeffs=tuple(
-                tuple(c * scale % p for c in row) for row in noise_out
+                tuple((c - d) * scale % p for c, d in zip(crow, drow))
+                for crow, drow in zip(cross, minus)
             ),
             pure_coeffs=tuple(c * scale % p for c in pure),
             eliminated=e,
@@ -257,27 +264,17 @@ def brute_force_solutions(target):
     requests raise SearchSpaceTooLarge.
     """
     p = target.prime
-    nvars = 1 + target.noise_vars
-    if p**nvars > _BRUTE_FORCE_GUARD:
-        raise SearchSpaceTooLarge(f"{p}**{nvars} assignments exceed the guard")
-    sols = []
-    if isinstance(target, ReducedNormalForm):
-        for x in range(p):
-            for noise in itertools.product(range(p), repeat=target.noise_vars):
-                if target.is_solution(x, noise):
-                    sols.append((x, *noise))
-        return SolutionSet(target, tuple(sols))
     m = target.noise_vars
-    for x in range(p):
-        a = column_values(target.coeffs1, x, p)
-        b = column_values(target.coeffs2, x, p)
-        for noise in itertools.product(range(p), repeat=m):
-            if (
-                sum(aj * r for aj, r in zip(a, noise)) % p == target.rhs1
-                and sum(bj * r for bj, r in zip(b, noise)) % p == target.rhs2
-            ):
-                sols.append((x, *noise))
-    return SolutionSet(target, tuple(sols))
+    if p ** (1 + m) > _BRUTE_FORCE_GUARD:
+        raise SearchSpaceTooLarge(f"{p}**{1 + m} assignments exceed the guard")
+    return SolutionSet(
+        target,
+        tuple(
+            (x, *noise)
+            for x in range(p)
+            for noise in _noise_solutions(target.forms(x), p, m)
+        ),
+    )
 
 
 def random_planted_system(params, rng):
@@ -299,13 +296,7 @@ def random_planted_system(params, rng):
     )
     x = rng.below(p)
     noise = tuple(rng.below(p) for _ in range(m))
-    powers = [pow(x, i, p) for i in range(rows)]
-    rhs1 = sum(
-        coeffs1[i][j] * powers[i] * noise[j] for i in range(rows) for j in range(m)
-    ) % p
-    rhs2 = sum(
-        coeffs2[i][j] * powers[i] * noise[j] for i in range(rows) for j in range(m)
-    ) % p
+    rhs1, rhs2 = (_dot(column_values(c, x, p), noise, p) for c in (coeffs1, coeffs2))
     sys = ModPSystem(p, coeffs1, rhs1, coeffs2, rhs2)
     return sys, (x, *noise)
 
@@ -344,6 +335,8 @@ def ind_cpa_game(params, adversary, trials, rng):
     """
     if params.noise_vars < 2:
         raise ValueError("the game needs at least one noise variable")
+    if trials < 1:
+        raise ValueError("the game needs at least one trial")
     p = params.prime
     rows = params.message_degree + 1
     m = params.noise_vars - 1
@@ -363,7 +356,7 @@ def ind_cpa_game(params, adversary, trials, rng):
         evaluation = 0
         while evaluation == 0:
             noise = [rng.below(p) for _ in range(m)]
-            evaluation = sum(c * r for c, r in zip(cols, noise)) % p
+            evaluation = _dot(cols, noise, p)
         scale = mod_inverse(evaluation, p)
         challenge = IndCpaChallenge(
             prime=p,
@@ -418,14 +411,8 @@ class ExhaustiveLikelihoodAdversary:
         counts = []
         for candidate in (m0, m1):
             cols = column_values(challenge.public_coeffs, candidate, p)
-            counts.append(
-                sum(
-                    1
-                    for noise in itertools.product(range(p), repeat=m)
-                    if sum(c * r for c, r in zip(cols, noise)) % p
-                    == challenge.evaluation
-                )
-            )
+            form = (cols, challenge.evaluation)
+            counts.append(sum(1 for _ in _noise_solutions((form,), p, m)))
         if counts[0] > counts[1]:
             return 0
         if counts[1] > counts[0]:
@@ -580,7 +567,7 @@ def _root_exists_table(prime):
 
 
 def _search_map_vectorized(matrix, modulus, units, prime, root_table):
-    """Unit multipliers consistent with a product structure, fast path.
+    """Unit multipliers consistent with a product structure, all units at once.
 
     matrix is the cipher map; a candidate V is accepted when the columns
     of (V * matrix mod modulus) mod prime share a quadratic ratio root or
@@ -599,22 +586,24 @@ def _search_map_vectorized(matrix, modulus, units, prime, root_table):
         mask = col_mask if mask is None else mask & col_mask
         infinite = (c0 == 0) if infinite is None else infinite & (c0 == 0)
         live = col_live if live is None else live | col_live
-    return units[((mask != 0) | infinite) & live]
+    return units[((mask != 0) | infinite) & live].tolist()
 
 
-def _search_map_scalar(matrix, modulus, unit, params):
-    rows = [[unit * c % modulus % params.prime for c in row] for row in matrix]
-    try:
-        return bool(
-            _map_ratio_candidates(
-                rows, params.prime, params.base_degree, params.factor_degree
-            )
-        )
-    except NoConsistentRatio:
-        return False
+def _search_map_scalar(matrix, modulus, units, params):
+    """Unit multipliers consistent with a product structure, one unit at a time."""
+    p = params.prime
+    accepted = []
+    for v in units.tolist():
+        rows = [[v * c % modulus % p for c in row] for row in matrix]
+        try:
+            if _map_ratio_candidates(rows, p, params.base_degree, params.factor_degree):
+                accepted.append(v)
+        except NoConsistentRatio:
+            pass
+    return accepted
 
 
-def ring_key_search(pk, params, s_bits, use_fast_path=True):
+def ring_key_search(pk, params, s_bits):
     """Enumerate (S, R1, R2) triples that reproduce a product structure.
 
     Brute-force over ring moduli of the given bit length and their units;
@@ -623,60 +612,34 @@ def ring_key_search(pk, params, s_bits, use_fast_path=True):
     the largest public coefficient are skipped (coefficients are reduced
     mod S, so S must exceed them all).  The result groups accepted R1 and
     R2 values per modulus; the true key is always present, usually among
-    many indistinguishable companions.  s_bits is capped at 14.
+    many indistinguishable companions.  s_bits is capped at 14.  The
+    shape picks the unit test: a p^3 root table for degree-1 factors over
+    a degree-1 base and p <= 31, per-unit ratio recovery otherwise.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")
-    if params.base_degree >= 2 and params.prime > _RATIO_SCAN_GUARD:
-        raise SearchSpaceTooLarge("per-candidate ratio scan needs a small prime")
-    if params.factor_degree == 2 and params.prime**2 > 1 << 22:
-        raise SearchSpaceTooLarge("per-candidate pair scan needs a small prime")
     start = time.perf_counter()
+    p = params.prime
+    if params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME:
+        table = _root_exists_table(p)
+        search_map = partial(_search_map_vectorized, prime=p, root_table=table)
+    else:
+        search_map = partial(_search_map_scalar, params=params)
     max_entry = max(max(max(row) for row in m) for m in (pk.p1, pk.p2))
-    lo = max(1 << (s_bits - 1), max_entry + 1)
-    hi = 1 << s_bits
-    fast = (
-        use_fast_path
-        and params.factor_degree == 1
-        and params.base_degree == 1
-        and params.prime <= _ROOT_TABLE_MAX_PRIME
-    )
-    root_table = _root_exists_table(params.prime) if fast else None
     work = 0
     found = []
-    for modulus in range(lo, hi):
-        if fast:
-            values = np.arange(1, modulus, dtype=np.int64)
-            units = values[np.gcd(values, modulus) == 1]
+    for modulus in range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits):
+        values = np.arange(1, modulus, dtype=np.int64)
+        units = values[np.gcd(values, modulus) == 1]
+        options = []
+        for matrix in (pk.p1, pk.p2):
             work += len(units)
-            inv1 = _search_map_vectorized(
-                pk.p1, modulus, units, params.prime, root_table
-            )
-            if len(inv1) == 0:
-                continue
-            work += len(units)
-            inv2 = _search_map_vectorized(
-                pk.p2, modulus, units, params.prime, root_table
-            )
-            if len(inv2) == 0:
-                continue
-            r1s = tuple(mod_inverse(int(v), modulus) for v in inv1)
-            r2s = tuple(mod_inverse(int(v), modulus) for v in inv2)
+            inverses = search_map(matrix, modulus, units)
+            if not inverses:
+                break
+            options.append(tuple(sorted(mod_inverse(v, modulus) for v in inverses)))
         else:
-            units = [v for v in range(1, modulus) if gcd(v, modulus) == 1]
-            work += len(units)
-            inv1 = [v for v in units if _search_map_scalar(pk.p1, modulus, v, params)]
-            if not inv1:
-                continue
-            work += len(units)
-            inv2 = [v for v in units if _search_map_scalar(pk.p2, modulus, v, params)]
-            if not inv2:
-                continue
-            r1s = tuple(mod_inverse(v, modulus) for v in inv1)
-            r2s = tuple(mod_inverse(v, modulus) for v in inv2)
-        found.append(
-            RingCandidate(modulus, tuple(sorted(r1s)), tuple(sorted(r2s)))
-        )
+            found.append(RingCandidate(modulus, *options))
     return RingSearchResult(
         candidates=tuple(found),
         work=work,

@@ -13,6 +13,7 @@ from pathlib import Path
 from . import analysis, bench, fhe, kat, kem
 from .block import encrypt_block, keygen, keypair_from_values
 from .errors import (
+    CapacityExceeded,
     DecapsFailure,
     HppkError,
     MalformedEncoding,
@@ -213,8 +214,6 @@ def _attack_indcpa(args, writer):
 
 
 def _attack_ringsearch(args, writer):
-    if args.sbits > 14:
-        raise UsageError("--sbits is capped at 14 for the ring search oracle")
     params = _tiny_params(args)
     rng = _rng_from(args.seed)
     ok = True
@@ -273,7 +272,8 @@ def _cmd_attack(args):
     writer.writerow(_ATTACK_HEADERS[args.oracle])
     try:
         ok = _ATTACK_RUNNERS[args.oracle](args, writer)
-    except SearchSpaceTooLarge as err:
+    except (SearchSpaceTooLarge, CapacityExceeded, ValueError) as err:
+        # every library rejection here traces back to an argument
         raise UsageError(str(err)) from err
     if not ok:
         print("oracle assertion failed", file=sys.stderr)
@@ -349,7 +349,7 @@ def main(argv=None):
     except UsageError as err:
         print(f"hppk: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MalformedEncoding, FileNotFoundError) as err:
+    except (MalformedEncoding, OSError) as err:
         print(f"hppk: {err}", file=sys.stderr)
         return EXIT_MALFORMED
     except DecapsFailure as err:

@@ -136,17 +136,20 @@ def parse_suite(fh):
             raise MalformedEncoding(f"bad KAT record: {err}") from err
         fields.clear()
 
-    for line in fh:
-        line = line.strip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise MalformedEncoding(f"unparseable KAT line: {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    try:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                flush()
+                continue
+            if line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise MalformedEncoding(f"unparseable KAT line: {line!r}")
+            key, _, value = line.partition("=")
+            fields[key.strip()] = value.strip()
+    except UnicodeDecodeError as err:
+        raise MalformedEncoding(f"KAT suite is not valid text: {err}") from err
     flush()
     return records
 

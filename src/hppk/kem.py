@@ -213,21 +213,19 @@ def serialize_ct(ct, params):
     return bytes(out)
 
 
-def deserialize_ct(data, params, block_count=None):
-    """Strict inverse of serialize_ct; block_count defaults to the profile's."""
-    if block_count is None:
-        block_count = params.block_count
-    if block_count < 1:
-        raise MalformedEncoding(f"block count must be positive, got {block_count}")
+def deserialize_ct(data, params):
+    """Strict inverse of serialize_ct."""
+    if len(data) != params.ciphertext_bytes:
+        raise MalformedEncoding(
+            f"ciphertext must be {params.ciphertext_bytes} bytes, got {len(data)}"
+        )
     w = params.value_bytes
-    expected = block_count * 2 * w
-    if len(data) != expected:
-        raise MalformedEncoding(f"ciphertext must be {expected} bytes, got {len(data)}")
     values = _chunk(data, w)
     limit = 1 << params.value_bits
     if any(v >= limit for v in values):
         raise MalformedEncoding("ciphertext value exceeds its width bound")
     blocks = tuple(
-        BlockCiphertext(values[2 * k], values[2 * k + 1]) for k in range(block_count)
+        BlockCiphertext(values[2 * k], values[2 * k + 1])
+        for k in range(params.block_count)
     )
     return KemCiphertext(blocks)

@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import pytest
 
@@ -316,14 +316,47 @@ def test_ring_search_work_grows_with_ring_bits(toy_params):
     assert res12.work > 4 * res10.work
 
 
-def test_ring_search_scalar_path_matches_fast_path(toy_params):
-    rng = DeterministicStream(b"ring-xcheck")
-    sk, pk = analysis.random_ring_instance(toy_params, 9, rng)
-    fast = analysis.ring_key_search(pk, toy_params, 9)
-    scalar = analysis.ring_key_search(pk, toy_params, 9, use_fast_path=False)
-    assert fast.candidates == scalar.candidates
-    assert fast.work == scalar.work
-    assert fast.contains(sk.modulus, sk.r1, sk.r2)
+def _reference_ring_search(pk, params, s_bits):
+    """(candidates, work) with every unit tested by recover_f_ratio on its unmasking."""
+    max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
+    work = 0
+    found = []
+    for modulus in range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits):
+        ring = fhe.HiddenRing(modulus)
+        units = [v for v in range(1, modulus) if math.gcd(v, modulus) == 1]
+        options = []
+        for matrix in (pk.p1, pk.p2):
+            work += len(units)
+            kept = []
+            for v in units:
+                key = fhe.HomomorphicKey(ring, pow(v, -1, modulus), v)
+                plain = fhe.decrypt_coeffs(key, matrix, params.prime)
+                try:
+                    analysis.recover_f_ratio(plain, plain, params)
+                except NoConsistentRatio:
+                    continue
+                kept.append(key.mult)
+            if not kept:
+                break
+            options.append(tuple(sorted(kept)))
+        else:
+            found.append(analysis.RingCandidate(modulus, *options))
+    return tuple(found), work
+
+
+@pytest.mark.parametrize(
+    "prime, base_degree",
+    [(13, 1), (13, 2), (37, 1)],
+    ids=["toy-shape-table", "nb2-scalar", "p37-scalar"],
+)
+def test_ring_search_matches_reference(prime, base_degree):
+    params = ParameterSet(prime=prime, base_degree=base_degree, factor_degree=1,
+                          noise_vars=2, label=f"ring-ref-{prime}-{base_degree}")
+    rng = DeterministicStream(f"ring-ref-{prime}-{base_degree}".encode())
+    sk, pk = analysis.random_ring_instance(params, 9, rng)
+    result = analysis.ring_key_search(pk, params, 9)
+    assert (result.candidates, result.work) == _reference_ring_search(pk, params, 9)
+    assert result.contains(sk.modulus, sk.r1, sk.r2)
 
 
 def test_ring_search_guard():

@@ -92,6 +92,21 @@ def test_truncated_ciphertext_is_malformed(capsys, tmp_path):
     assert "208" in err
 
 
+def test_directory_inputs_are_malformed(capsys, tmp_path):
+    for argv in (("kat", "verify", "."),
+                 ("decaps", "--level", "1", "--sk", ".", "--ct", ".")):
+        code, _, err = _run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("hppk: ")
+
+
+def test_kat_verify_non_utf8_suite_is_malformed(capsys, tmp_path):
+    (tmp_path / "suite.kat").write_bytes(b"profile = toy\n\xff\xfe\n")
+    code, _, err = _run(capsys, "kat", "verify", "suite.kat")
+    assert code == 2
+    assert err.startswith("hppk: ")
+
+
 def test_tampered_ciphertext_decaps_failure(capsys, tmp_path):
     _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "k")
     _run(capsys, "encaps", "--level", "1", "--pk", "k.hpk",
@@ -167,6 +182,20 @@ def test_attack_ringsearch_guard(capsys):
     code, _, err = _run(capsys, "attack", "--oracle", "ringsearch",
                         "--sbits", "20")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--oracle", "bruteforce", "--prime", "4"),
+    ("--oracle", "bruteforce", "--noise", "1"),
+    ("--oracle", "fratio", "--nb", "0"),
+    ("--oracle", "ringsearch", "--sbits", "1"),
+    ("--oracle", "ringsearch", "--sbits", "300"),
+    ("--oracle", "indcpa", "--trials", "0"),
+], ids=["prime4", "noise1", "nb0", "sbits1", "sbits300", "trials0"])
+def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
+    code, _, err = _run(capsys, "attack", *argv)
+    assert code == 1
+    assert err.startswith("hppk: ")
 
 
 def test_attack_ringsearch_finds_keys(capsys):

@@ -186,13 +186,6 @@ def test_deserialize_sk_validates_fields():
             kem.deserialize_sk(bytes(blob3), params)
 
 
-@pytest.mark.parametrize("block_count", [0, -1])
-def test_deserialize_ct_rejects_nonpositive_block_count(block_count):
-    params = PARAMETER_SETS["level1-nb1"]
-    with pytest.raises(MalformedEncoding):
-        kem.deserialize_ct(b"", params, block_count=block_count)
-
-
 def test_deserialize_ct_admits_worst_case_value():
     # term_count 1020 needs 10 margin bits, more than the 8 every shipped
     # profile reserves
