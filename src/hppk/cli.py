@@ -6,11 +6,13 @@ Exit codes are a stable contract for CI: 0 success, 1 usage error,
 
 import argparse
 import csv
+import functools
+import io
 import sys
 import time
 from pathlib import Path
 
-from . import analysis, bench, fhe, kat, kem
+from . import bench, fhe, kat, kem
 from .block import encrypt_block, keygen, keypair_from_values
 from .errors import (
     CapacityExceeded,
@@ -39,14 +41,30 @@ class UsageError(Exception):
     pass
 
 
+def _hex_seed(seed_hex):
+    try:
+        return bytes.fromhex(seed_hex)
+    except ValueError as err:
+        raise UsageError(f"seed is not hex: {err}") from err
+
+
 def _rng_from(seed_hex):
     if seed_hex is None:
         return SystemRng()
+    return DeterministicStream(_hex_seed(seed_hex))
+
+
+def _at_least_one(value, flag):
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1")
+
+
+def _write(path, data):
+    """Write one output file; a path that cannot be written is a usage error."""
     try:
-        seed = bytes.fromhex(seed_hex)
-    except ValueError as err:
-        raise UsageError(f"seed is not hex: {err}") from err
-    return DeterministicStream(seed)
+        path.write_bytes(data)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _profile(args):
@@ -75,8 +93,8 @@ def _cmd_keygen(args):
     base = Path(args.out if args.out else params.label)
     pk_path = base.with_suffix(".hpk")
     sk_path = base.with_suffix(".hsk")
-    pk_path.write_bytes(kem.serialize_pk(pk, params))
-    sk_path.write_bytes(kem.serialize_sk(sk, params))
+    _write(pk_path, kem.serialize_pk(pk, params))
+    _write(sk_path, kem.serialize_sk(sk, params))
     print(f"wrote {pk_path} ({params.public_key_bytes} bytes)")
     print(f"wrote {sk_path} ({params.secret_key_bytes} bytes)")
     return EXIT_OK
@@ -90,8 +108,8 @@ def _cmd_encaps(args):
     base = Path(args.out if args.out else Path(args.pk).stem)
     ct_path = base.with_suffix(".hct")
     ss_path = base.with_suffix(".hss")
-    ct_path.write_bytes(kem.serialize_ct(ct, params))
-    ss_path.write_bytes(ss)
+    _write(ct_path, kem.serialize_ct(ct, params))
+    _write(ss_path, ss)
     print(f"wrote {ct_path} ({params.ciphertext_bytes} bytes)")
     print(f"wrote {ss_path} ({len(ss)} bytes)")
     return EXIT_OK
@@ -103,7 +121,7 @@ def _cmd_decaps(args):
     ct = kem.deserialize_ct(Path(args.ct).read_bytes(), params)
     ss = kem.decaps(sk, params, ct)
     out = Path(args.out) if args.out else Path(args.ct).with_suffix(".hss")
-    out.write_bytes(ss)
+    _write(out, ss)
     print(f"wrote {out} ({len(ss)} bytes)")
     return EXIT_OK
 
@@ -113,12 +131,14 @@ def _cmd_decaps(args):
 
 def _cmd_kat(args):
     if args.action == "generate":
+        _at_least_one(args.count, "--count")
         records = kat.generate_suite(
-            master_seed=bytes.fromhex(args.seed) if args.seed else b"hppk-kat-v1",
+            master_seed=_hex_seed(args.seed) if args.seed else b"hppk-kat-v1",
             per_profile=args.count,
         )
-        with open(args.suite, "w") as fh:
-            kat.write_suite(records, fh)
+        text = io.StringIO()
+        kat.write_suite(records, text)
+        _write(Path(args.suite), text.getvalue().encode())
         print(f"wrote {len(records)} records to {args.suite}")
         return EXIT_OK
     with open(args.suite) as fh:
@@ -138,8 +158,7 @@ def _cmd_kat(args):
 
 
 def _cmd_bench(args):
-    if args.iterations <= 0:
-        raise UsageError("--iterations must be positive")
+    _at_least_one(args.iterations, "--iterations")
     params = _profile(args)
     try:
         report = bench.run_bench(
@@ -152,7 +171,8 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
-# -- attack oracles
+# -- attack oracles; each runner imports `analysis`, and with it numpy, itself,
+# so that no other command pays for loading them
 
 
 def _tiny_params(args):
@@ -166,6 +186,8 @@ def _tiny_params(args):
 
 
 def _attack_bruteforce(args, writer):
+    from . import analysis
+
     params = _tiny_params(args)
     rng = _rng_from(args.seed)
     ok = True
@@ -195,6 +217,8 @@ def _attack_bruteforce(args, writer):
 
 
 def _attack_indcpa(args, writer):
+    from . import analysis
+
     params = _tiny_params(args)
     rng = _rng_from(args.seed)
     adversary = {
@@ -214,6 +238,8 @@ def _attack_indcpa(args, writer):
 
 
 def _attack_ringsearch(args, writer):
+    from . import analysis
+
     params = _tiny_params(args)
     rng = _rng_from(args.seed)
     ok = True
@@ -230,6 +256,8 @@ def _attack_ringsearch(args, writer):
 
 
 def _attack_fratio(args, writer):
+    from . import analysis
+
     params = _tiny_params(args)
     rng = _rng_from(args.seed)
     p = params.prime
@@ -268,6 +296,7 @@ _ATTACK_RUNNERS = {
 
 
 def _cmd_attack(args):
+    _at_least_one(args.instances, "--instances")
     writer = csv.writer(sys.stdout)
     writer.writerow(_ATTACK_HEADERS[args.oracle])
     try:
@@ -284,7 +313,9 @@ def _cmd_attack(args):
 # -- wiring
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every `main` call."""
     parser = _Parser(prog="hppk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -339,9 +370,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -1,9 +1,14 @@
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hppk
+from hppk import kat
 from hppk.cli import main
 from hppk.params import PARAMETER_SETS
 
@@ -100,6 +105,22 @@ def test_directory_inputs_are_malformed(capsys, tmp_path):
         assert err.startswith("hppk: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("keygen", "--level", "1", "--out", "missing/x"),
+    ("decaps", "--level", "1", "--sk", "k.hsk", "--ct", "s.hct", "--out", "outdir"),
+    ("kat", "generate", "outdir", "--count", "1"),
+], ids=["keygen-missing-dir", "decaps-out-dir", "kat-generate-dir"])
+def test_unwritable_outputs_are_usage_errors(capsys, tmp_path, argv):
+    _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "k")
+    _run(capsys, "encaps", "--level", "1", "--pk", "k.hpk",
+         "--seed", "22" * 32, "--out", "s")
+    (tmp_path / "outdir").mkdir()
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("hppk: cannot write ")
+    assert ("missing/x" if argv[0] == "keygen" else "outdir") in err
+
+
 def test_kat_verify_non_utf8_suite_is_malformed(capsys, tmp_path):
     (tmp_path / "suite.kat").write_bytes(b"profile = toy\n\xff\xfe\n")
     code, _, err = _run(capsys, "kat", "verify", "suite.kat")
@@ -131,6 +152,18 @@ def test_kat_generate_and_verify(capsys, tmp_path):
     code, out, _ = _run(capsys, "kat", "verify", "suite.kat")
     assert code == 0
     assert out.count(" ok") == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "zz"),
+    ("--count", "0"),
+    ("--count", "-1"),
+], ids=["seed-not-hex", "count0", "count-1"])
+def test_kat_generate_rejected_arguments_are_usage_errors(capsys, tmp_path, argv):
+    code, _, err = _run(capsys, "kat", "generate", "suite.kat", *argv)
+    assert code == 1
+    assert err.startswith("hppk: ")
+    assert not (tmp_path / "suite.kat").exists()
 
 
 def test_kat_verify_detects_corruption(capsys, tmp_path):
@@ -191,7 +224,10 @@ def test_attack_ringsearch_guard(capsys):
     ("--oracle", "ringsearch", "--sbits", "1"),
     ("--oracle", "ringsearch", "--sbits", "300"),
     ("--oracle", "indcpa", "--trials", "0"),
-], ids=["prime4", "noise1", "nb0", "sbits1", "sbits300", "trials0"])
+    ("--oracle", "bruteforce", "--instances", "-2"),
+    ("--oracle", "fratio", "--instances", "0"),
+], ids=["prime4", "noise1", "nb0", "sbits1", "sbits300", "trials0",
+        "instances-2", "instances0"])
 def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
     code, _, err = _run(capsys, "attack", *argv)
     assert code == 1
@@ -219,3 +255,37 @@ def test_attack_fratio(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    probe = ("import sys, hppk.cli; "
+             "print(sorted({'numpy', 'hppk.analysis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hppk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_sequential_calls_share_no_values(capsys, tmp_path):
+    _run(capsys, "keygen", "--insecure-test-profile", "--out", "a")
+    code, _, _ = _run(capsys, "keygen", "--level", "1", "--out", "b")
+    assert code == 0
+    assert ((tmp_path / "b.hpk").stat().st_size
+            == PARAMETER_SETS["level1-nb1"].public_key_bytes)
+
+    _run(capsys, "keygen", "--level", "5", "--nb", "2", "--out", "c")
+    code, _, _ = _run(capsys, "keygen", "--level", "5", "--out", "d")
+    assert code == 0
+    assert ((tmp_path / "d.hpk").stat().st_size
+            == PARAMETER_SETS["level5-nb1"].public_key_bytes)
+
+    _run(capsys, "kat", "generate", "s1.kat", "--count", "1", "--seed", "33" * 32)
+    code, _, _ = _run(capsys, "kat", "generate", "s2.kat", "--count", "1")
+    assert code == 0
+    fresh = io.StringIO()
+    kat.write_suite(kat.generate_suite(b"hppk-kat-v1", per_profile=1), fresh)
+    assert (tmp_path / "s2.kat").read_text() == fresh.getvalue()
+
+    code, _, _ = _run(capsys, "attack", "--oracle", "fratio", "--prime", "251",
+                      "--instances", "1")
+    assert code == 0
