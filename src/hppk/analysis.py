@@ -19,7 +19,7 @@ enumerating solutions all go through it.
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from operator import mul
 
 import numpy as np
@@ -32,13 +32,14 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroRhs,
 )
-from .modmath import mod_inverse, solve_quadratic
+from .modmath import batch_inverse, mod_inverse, solve_quadratic
 
 _BRUTE_FORCE_GUARD = 1 << 26
 _LIKELIHOOD_GUARD = 1 << 20
 _RING_SEARCH_MAX_BITS = 14
 _RATIO_SCAN_GUARD = 1 << 14  # largest prime for exhaustive ratio scans
 _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
+_RING_SEARCH_CHUNK = 1 << 16  # (modulus, unit) pairs per numpy pass of the ring search
 
 
 # -- the mod-p view of one ciphertext block
@@ -553,54 +554,71 @@ class RingSearchResult:
         return False
 
 
+@cache
 def _root_exists_table(prime):
-    """Bitmask of roots for every quadratic (a, b, c), flattened a*p*p + b*p + c."""
+    """Bitmask of the roots r of a*r^2 - b*r + c for every column (a, b, c).
+
+    That is the ratio equation of one column (see _column_ratio_roots);
+    the table is flattened at (a*p + b)*p + c.
+    """
     size = prime**3
     table = np.zeros(size, dtype=np.uint32)
     a = np.arange(size, dtype=np.int64) // (prime * prime)
     b = (np.arange(size, dtype=np.int64) // prime) % prime
     c = np.arange(size, dtype=np.int64) % prime
     for r in range(prime):
-        hits = (a * r * r + b * r + c) % prime == 0
+        hits = (a * r * r - b * r + c) % prime == 0
         table[hits] |= np.uint32(1 << r)
+    table.flags.writeable = False  # one cached table is shared by every search
     return table
 
 
-def _search_map_vectorized(matrix, modulus, units, prime, root_table):
-    """Unit multipliers consistent with a product structure, all units at once.
+def _table_accepts(matrix, mods, units, params):
+    """Which pairs (mods[i], units[i]) give the cipher map a product structure.
 
-    matrix is the cipher map; a candidate V is accepted when the columns
-    of (V * matrix mod modulus) mod prime share a quadratic ratio root or
-    all constant-row entries vanish.
+    A pair (S, V) is accepted when the live columns of (V * matrix mod S)
+    mod p share a quadratic ratio root, read from the p^3 root table, or
+    all their constant-row entries vanish.
     """
-    mask = None
-    infinite = None
-    live = None
-    p2 = prime * prime
-    for j in range(len(matrix[0])):
-        c0 = units * matrix[0][j] % modulus % prime
-        c1 = units * matrix[1][j] % modulus % prime
-        c2 = units * matrix[2][j] % modulus % prime
-        col_mask = root_table[c0 * p2 + (prime - c1) % prime * prime + c2]
-        col_live = (c0 != 0) | (c1 != 0) | (c2 != 0)
-        mask = col_mask if mask is None else mask & col_mask
-        infinite = (c0 == 0) if infinite is None else infinite & (c0 == 0)
-        live = col_live if live is None else live | col_live
-    return units[((mask != 0) | infinite) & live].tolist()
-
-
-def _search_map_scalar(matrix, modulus, units, params):
-    """Unit multipliers consistent with a product structure, one unit at a time."""
     p = params.prime
+    table = _root_exists_table(p)
+    roots = np.full(len(units), (1 << p) - 1, dtype=np.uint32)
+    infinite = np.ones(len(units), dtype=bool)
+    live = np.zeros(len(units), dtype=bool)
+    for j in range(len(matrix[0])):
+        c0, c1, c2 = (units * row[j] % mods % p for row in matrix)
+        column = (c0 * p + c1) * p + c2
+        roots &= table[column]
+        infinite &= column < p * p  # the constant-row entry c0 is 0
+        live |= column != 0
+    return ((roots != 0) | infinite) & live
+
+
+def _scalar_accepts(matrix, mods, units, params):
+    """The same acceptance, one pair at a time through ratio recovery."""
+    p, nb, nf = params.prime, params.base_degree, params.factor_degree
     accepted = []
-    for v in units.tolist():
+    for modulus, v in zip(mods.tolist(), units.tolist()):
         rows = [[v * c % modulus % p for c in row] for row in matrix]
         try:
-            if _map_ratio_candidates(rows, p, params.base_degree, params.factor_degree):
-                accepted.append(v)
+            accepted.append(bool(_map_ratio_candidates(rows, p, nb, nf)))
         except NoConsistentRatio:
-            pass
-    return accepted
+            accepted.append(False)
+    return np.array(accepted, dtype=bool)
+
+
+def _ring_options(mods, units, moduli):
+    """Per modulus of moduli, the sorted inverses of its accepted units.
+
+    mods is ascending and holds every modulus of moduli.
+    """
+    starts = np.searchsorted(mods, moduli).tolist()
+    ends = np.searchsorted(mods, moduli, side="right").tolist()
+    units = units.tolist()
+    return [
+        tuple(sorted(batch_inverse(units[a:b], modulus)))
+        for modulus, a, b in zip(moduli, starts, ends)
+    ]
 
 
 def ring_key_search(pk, params, s_bits):
@@ -611,35 +629,66 @@ def ring_key_search(pk, params, s_bits):
     then mod p, is consistent with some factor ratio.  Moduli at or below
     the largest public coefficient are skipped (coefficients are reduced
     mod S, so S must exceed them all).  The result groups accepted R1 and
-    R2 values per modulus; the true key is always present, usually among
-    many indistinguishable companions.  s_bits is capped at 14.  The
-    shape picks the unit test: a p^3 root table for degree-1 factors over
-    a degree-1 base and p <= 31, per-unit ratio recovery otherwise.
+    R2 values per modulus, in ascending modulus order.
+
+    s_bits must exceed the prime's bit length, so that every searched S
+    exceeds p and the true key's unmasking is the plain map itself; under
+    that condition the true key is always present, usually among many
+    indistinguishable companions.  Narrower rings raise ValueError, and
+    s_bits is capped at 14.
+
+    The (modulus, unit) pairs are scanned in chunks of consecutive moduli,
+    about _RING_SEARCH_CHUNK pairs each, as flat numpy arrays.  Each chunk
+    tests the first map on every unit, then the second map only on the
+    moduli where the first accepted a unit; work counts the units tested.
+    Inverses are taken only for moduli both maps accept.  The shape picks
+    the unit test: a p^3 root table for degree-1 factors over a degree-1
+    base and p <= 31, per-pair ratio recovery otherwise.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")
+    if s_bits <= params.prime_bits:
+        raise ValueError(
+            f"ring search needs more than the prime's {params.prime_bits} bits"
+        )
     start = time.perf_counter()
     p = params.prime
     if params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME:
-        table = _root_exists_table(p)
-        search_map = partial(_search_map_vectorized, prime=p, root_table=table)
+        accepts = _table_accepts
     else:
-        search_map = partial(_search_map_scalar, params=params)
+        accepts = _scalar_accepts
     max_entry = max(max(max(row) for row in m) for m in (pk.p1, pk.p2))
+    high = 1 << s_bits
+    low = min(max(high >> 1, max_entry + 1), high)
+    # int32 holds every product unit * entry (below 2^28 under the cap) and
+    # divides faster than int64
+    moduli = np.arange(low, high, dtype=np.int32)
+    # a modulus joins the chunk in which its last (modulus, unit) pair falls
+    chunk_of = (np.cumsum(moduli - 1) - 1) // _RING_SEARCH_CHUNK
+    bounds = np.flatnonzero(np.diff(chunk_of)) + 1
+    chunks = np.split(moduli, bounds) if len(moduli) else []  # np.split([]) is [[]]
     work = 0
     found = []
-    for modulus in range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits):
-        values = np.arange(1, modulus, dtype=np.int64)
-        units = values[np.gcd(values, modulus) == 1]
-        options = []
+    for chunk in chunks:
+        sizes = chunk - 1
+        mods = np.repeat(chunk, sizes)
+        offsets = np.cumsum(sizes, dtype=np.int32) - sizes
+        units = np.arange(1, len(mods) + 1, dtype=np.int32) - np.repeat(offsets, sizes)
+        coprime = np.gcd(units, mods) == 1
+        mods, units = mods[coprime], units[coprime]
+        accepted = []
         for matrix in (pk.p1, pk.p2):
             work += len(units)
-            inverses = search_map(matrix, modulus, units)
-            if not inverses:
-                break
-            options.append(tuple(sorted(mod_inverse(v, modulus) for v in inverses)))
-        else:
-            found.append(RingCandidate(modulus, *options))
+            ok = accepts(matrix, mods, units, params)
+            accepted.append((mods[ok], units[ok]))
+            # the next map is tested only where this one accepted a unit
+            hit = np.zeros(len(chunk), dtype=bool)
+            hit[mods[ok] - chunk[0]] = True
+            survives = hit[mods - chunk[0]]
+            mods, units = mods[survives], units[survives]
+        both = chunk[hit].tolist()
+        options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
+        found += map(RingCandidate, both, options1, options2)
     return RingSearchResult(
         candidates=tuple(found),
         work=work,

@@ -344,19 +344,66 @@ def _reference_ring_search(pk, params, s_bits):
     return tuple(found), work
 
 
-@pytest.mark.parametrize(
-    "prime, base_degree",
-    [(13, 1), (13, 2), (37, 1)],
-    ids=["toy-shape-table", "nb2-scalar", "p37-scalar"],
-)
-def test_ring_search_matches_reference(prime, base_degree):
+# id: (prime, base_degree, noise_vars, s_bits, seed, what the instance exercises)
+RING_REFERENCE_CASES = {
+    "toy-shape-table": (13, 1, 2, 9, "ring-ref-13-1", None),
+    "nb2-scalar": (13, 2, 2, 9, "ring-ref-13-2", None),
+    "p37-scalar": (37, 1, 2, 9, "ring-ref-37-1", None),
+    "two-chunks": (13, 1, 2, 9, "ring-ref-chunks-11", "chunks"),
+    "floor-raised": (13, 1, 3, 7, "ring-ref-floor", "floor"),
+    "map1-rejects": (13, 1, 4, 7, "ring-ref-map1-1", "map1-rejects"),
+    "p31-table": (31, 1, 3, 8, "ring-ref-p31-table", None),
+}
+
+
+@pytest.mark.parametrize("case", list(RING_REFERENCE_CASES))
+def test_ring_search_matches_reference(case):
+    prime, base_degree, noise_vars, s_bits, seed, exercises = RING_REFERENCE_CASES[case]
     params = ParameterSet(prime=prime, base_degree=base_degree, factor_degree=1,
-                          noise_vars=2, label=f"ring-ref-{prime}-{base_degree}")
-    rng = DeterministicStream(f"ring-ref-{prime}-{base_degree}".encode())
-    sk, pk = analysis.random_ring_instance(params, 9, rng)
-    result = analysis.ring_key_search(pk, params, 9)
-    assert (result.candidates, result.work) == _reference_ring_search(pk, params, 9)
+                          noise_vars=noise_vars, label=f"ring-ref-{case}")
+    sk, pk = analysis.random_ring_instance(params, s_bits,
+                                           DeterministicStream(seed.encode()))
+    result = analysis.ring_key_search(pk, params, s_bits)
+    candidates, work = _reference_ring_search(pk, params, s_bits)
+    assert (result.candidates, result.work) == (candidates, work)
     assert result.contains(sk.modulus, sk.r1, sk.r2)
+    max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
+    moduli = range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits)
+    if exercises == "chunks":
+        assert sum(s - 1 for s in moduli) > analysis._RING_SEARCH_CHUNK
+    if exercises == "floor":
+        assert moduli.start > 1 << (s_bits - 1)
+    if exercises == "map1-rejects":
+        # every unit is tested once, and again only where map 1 accepted one
+        units = sum(1 for s in moduli for v in range(1, s) if math.gcd(v, s) == 1)
+        assert work < 2 * units
+
+
+def test_ring_search_matches_reference_on_benchmark_shape():
+    rng = DeterministicStream(b"ring-ref-sweep")
+    for _ in range(40):
+        sk, pk = analysis.random_ring_instance(P13M3, 7, rng)
+        result = analysis.ring_key_search(pk, P13M3, 7)
+        assert (result.candidates, result.work) == _reference_ring_search(pk, P13M3, 7)
+        assert result.contains(sk.modulus, sk.r1, sk.r2)
+
+
+@pytest.mark.parametrize("s_bits", [0, 4])
+def test_ring_search_rejects_rings_not_wider_than_the_prime(toy_params, toy_keypair,
+                                                            s_bits):
+    # below 5 bits a modulus can be at most 13, so unmasking no longer
+    # returns the plain map and the true key could be missed
+    _, pk = toy_keypair
+    with pytest.raises(ValueError, match="prime's 4 bits"):
+        analysis.ring_key_search(pk, toy_params, s_bits)
+
+
+def test_ring_search_below_public_entries_is_empty():
+    params = ParameterSet(prime=13, base_degree=1, factor_degree=1, noise_vars=2,
+                          ring_bits=100, label="ring-100")
+    _, pk = keygen(params, DeterministicStream(b"ring-100"))
+    result = analysis.ring_key_search(pk, params, 10)
+    assert (result.candidates, result.work) == ((), 0)
 
 
 def test_ring_search_guard():

@@ -222,12 +222,14 @@ def test_attack_ringsearch_guard(capsys):
     ("--oracle", "bruteforce", "--noise", "1"),
     ("--oracle", "fratio", "--nb", "0"),
     ("--oracle", "ringsearch", "--sbits", "1"),
+    ("--oracle", "ringsearch", "--sbits", "4"),
+    ("--oracle", "ringsearch", "--prime", "31", "--sbits", "5"),
     ("--oracle", "ringsearch", "--sbits", "300"),
     ("--oracle", "indcpa", "--trials", "0"),
     ("--oracle", "bruteforce", "--instances", "-2"),
     ("--oracle", "fratio", "--instances", "0"),
-], ids=["prime4", "noise1", "nb0", "sbits1", "sbits300", "trials0",
-        "instances-2", "instances0"])
+], ids=["prime4", "noise1", "nb0", "sbits1", "sbits4", "p31-sbits5", "sbits300",
+        "trials0", "instances-2", "instances0"])
 def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
     code, _, err = _run(capsys, "attack", *argv)
     assert code == 1

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppk import fhe, kem
 from hppk.block import BlockCiphertext, encrypt_block, keygen
@@ -6,8 +8,10 @@ from hppk.errors import (
     DecapsFailure,
     DegenerateEquation,
     MalformedEncoding,
+    NoValidRoot,
     ZeroDenominator,
 )
+from hppk.modmath import WIDE_BITS
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
@@ -286,3 +290,35 @@ def test_toy_full_kem_blocks(toy_params):
         except ZeroDenominator:
             pass
     assert ok >= 40  # expectation is 64 * 12/13, about 59
+
+
+@st.composite
+def _parameter_sets(draw):
+    """Valid custom profiles; factor degree 2 only where the flag fits."""
+    prime = draw(st.sampled_from([13, 257, 65537, DEFAULT_PRIME_64]))
+    bits = prime.bit_length()
+    factor_degree = draw(st.sampled_from([1, 2] if bits > 8 else [1]))
+    base_degree = draw(st.integers(1, 3))
+    noise_vars = draw(st.integers(2, 5))
+    terms = (base_degree + factor_degree + 1) * noise_vars
+    lowest = 2 * bits + terms.bit_length() + 1
+    highest = WIDE_BITS - bits - max(8, terms.bit_length())
+    ring_bits = draw(st.integers(lowest, min(highest, lowest + 32)))
+    return ParameterSet(prime=prime, base_degree=base_degree,
+                        factor_degree=factor_degree, noise_vars=noise_vars,
+                        ring_bits=ring_bits)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_parameter_sets(), st.binary(min_size=8, max_size=8))
+def test_random_profile_round_trips(params, seed):
+    rng = DeterministicStream(seed)
+    sk, pk = keygen(params, rng)
+    assert kem.deserialize_pk(kem.serialize_pk(pk, params), params) == pk
+    assert kem.deserialize_sk(kem.serialize_sk(sk, params), params) == sk
+    ct, ss = kem.encaps(pk, params, rng)
+    assert kem.deserialize_ct(kem.serialize_ct(ct, params), params) == ct
+    try:
+        assert kem.decaps(sk, params, ct) == ss
+    except DecapsFailure as err:
+        assert isinstance(err.cause, (ZeroDenominator, DegenerateEquation, NoValidRoot))
