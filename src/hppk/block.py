@@ -9,12 +9,15 @@ hidden-ring key.  b is used only to build the products and is
 discarded.  Masking, evaluation and unmasking all go through fhe.
 
 Encrypting evaluates both cipher maps against one monomial table of the
-secret x and fresh noise, over the integers.  Decrypting unmasks both
-values to c1 = b(x)f1(x) and c2 = b(x)f2(x) mod p; the base polynomial
-cancels from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear (factor_degree 1)
-or quadratic (factor_degree 2) congruence in x that is solved without
-first forming the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC
-flag in the plaintext so the right root can be identified.
+secret x and fresh noise, over the integers, in one pass: the public key
+stacks its maps as p1 + (p2 << value_bits), and the ring-size bound keeps
+the first value below 2**value_bits, so the one evaluation splits into
+value1 (its low value_bits bits) and value2 (the rest).  Decrypting
+unmasks both values to c1 = b(x)f1(x) and c2 = b(x)f2(x) mod p; the base
+polynomial cancels from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear
+(factor_degree 1) or quadratic (factor_degree 2) congruence in x that is
+solved without first forming the ratio c1/c2.  Degree-2 profiles embed
+an 8-bit CRC flag in the plaintext so the right root can be identified.
 """
 
 from dataclasses import dataclass
@@ -80,6 +83,26 @@ class PublicKey:
     @property
     def shape(self):
         return len(self.p1), len(self.p1[0])
+
+    def stacked(self, params):
+        """fhe.stack(p1, p2, params.value_bits), built once per ring and width.
+
+        The split of a stacked evaluation is exact only when every entry
+        lies in [0, 2**ring_bits), so that each map's value stays below
+        2**value_bits; any other entry raises ValueError.  The matrix is
+        kept on the instance outside the dataclass fields, so equality,
+        hash, repr and the wire format never see it, and it is rebuilt
+        when a profile with another ring or width asks for it.
+        """
+        key = (params.ring_bits, params.value_bits)
+        cached = self.__dict__.get("_stacked")
+        if cached is None or cached[0] != key:
+            entries = [c for mat in (self.p1, self.p2) for row in mat for c in row]
+            if min(entries) < 0 or max(entries) >= 1 << params.ring_bits:
+                raise ValueError("public key coefficient outside [0, 2**ring_bits)")
+            cached = key, fhe.stack(self.p1, self.p2, params.value_bits)
+            object.__setattr__(self, "_stacked", cached)
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -247,16 +270,20 @@ def keygen(params, rng):
 def monomial_table(params, x, noise):
     """Values (x**i * noise_j) mod p for every matrix position (i, j)."""
     p = params.prime
-    power = 1
-    rows = []
-    for i in range(params.message_degree + 1):
-        rows.append([power * r % p for r in noise])
-        power = power * x % p
+    row = [r % p for r in noise]
+    rows = [row]
+    for _ in range(params.message_degree):
+        row = [t * x % p for t in row]
+        rows.append(row)
     return rows
 
 
 def encrypt_block(pk, params, x, noise):
-    """Evaluate both cipher maps over the integers; no final reduction."""
+    """Evaluate both cipher maps over the integers; no final reduction.
+
+    One evaluation of the stacked key pk.stacked(params) against the
+    monomial table gives value1 + (value2 << value_bits).
+    """
     p = params.prime
     if pk.shape != (params.message_degree + 1, params.noise_vars):
         raise ValueError("public key shape does not match the parameter set")
@@ -264,14 +291,13 @@ def encrypt_block(pk, params, x, noise):
         raise ValueError("secret must lie in [0, p)")
     if len(noise) != params.noise_vars:
         raise ValueError("need one value per noise variable")
-    if any(not 0 <= r < p for r in noise):
+    if min(noise) < 0 or max(noise) >= p:
         raise ValueError("noise values must lie in [0, p)")
-    if all(r == 0 for r in noise):
+    if not any(noise):
         raise AllZeroNoise("all-zero noise would produce a trivial ciphertext")
-    table = monomial_table(params, x, noise)
-    return BlockCiphertext(
-        fhe.eval_cipher_poly(pk.p1, table), fhe.eval_cipher_poly(pk.p2, table)
-    )
+    w = params.value_bits
+    v = fhe.eval_cipher_poly(pk.stacked(params), monomial_table(params, x, noise))
+    return BlockCiphertext(v & ((1 << w) - 1), v >> w)
 
 
 def _projective_factors(sk, params, ct):

@@ -185,7 +185,7 @@ def _tiny_params(args):
     )
 
 
-def _attack_bruteforce(args, writer):
+def _attack_bruteforce(args, emit):
     from . import analysis
 
     params = _tiny_params(args)
@@ -208,7 +208,7 @@ def _attack_bruteforce(args, writer):
         solutions = analysis.brute_force_solutions(system)
         found = witness in solutions
         ok &= found
-        writer.writerow([
+        emit([
             instance, args.prime, args.noise, solutions.count,
             ":".join(str(v) for v in witness), found,
             f"{time.perf_counter() - start:.4f}",
@@ -216,7 +216,7 @@ def _attack_bruteforce(args, writer):
     return ok
 
 
-def _attack_indcpa(args, writer):
+def _attack_indcpa(args, emit):
     from . import analysis
 
     params = _tiny_params(args)
@@ -228,7 +228,7 @@ def _attack_indcpa(args, writer):
     }[args.adversary]
     start = time.perf_counter()
     advantage = analysis.ind_cpa_game(params, adversary, args.trials, rng)
-    writer.writerow([
+    emit([
         0, args.prime, args.noise, args.trials, f"{advantage:.6f}",
         f"{time.perf_counter() - start:.4f}",
     ])
@@ -237,7 +237,7 @@ def _attack_indcpa(args, writer):
     return 0.0 <= advantage <= 0.5
 
 
-def _attack_ringsearch(args, writer):
+def _attack_ringsearch(args, emit):
     from . import analysis
 
     params = _tiny_params(args)
@@ -248,14 +248,14 @@ def _attack_ringsearch(args, writer):
         result = analysis.ring_key_search(pk, params, args.sbits)
         found = result.contains(sk.modulus, sk.r1, sk.r2)
         ok &= found
-        writer.writerow([
+        emit([
             instance, args.prime, args.noise, result.total_triples,
             result.work, found, f"{result.elapsed:.4f}",
         ])
     return ok
 
 
-def _attack_fratio(args, writer):
+def _attack_fratio(args, emit):
     from . import analysis
 
     params = _tiny_params(args)
@@ -273,7 +273,7 @@ def _attack_fratio(args, writer):
             and analysis.true_ratio(sk.f2, p) in set2
         )
         ok &= found
-        writer.writerow([
+        emit([
             instance, args.prime, args.noise, len(set1) + len(set2), found,
             f"{time.perf_counter() - start:.4f}",
         ])
@@ -298,9 +298,17 @@ _ATTACK_RUNNERS = {
 def _cmd_attack(args):
     _at_least_one(args.instances, "--instances")
     writer = csv.writer(sys.stdout)
-    writer.writerow(_ATTACK_HEADERS[args.oracle])
+    header = [_ATTACK_HEADERS[args.oracle]]
+
+    def emit(row):
+        # the header goes out with the first row, so that an argument the
+        # runner rejects before its first row leaves stdout empty
+        writer.writerows(header)
+        header.clear()
+        writer.writerow(row)
+
     try:
-        ok = _ATTACK_RUNNERS[args.oracle](args, writer)
+        ok = _ATTACK_RUNNERS[args.oracle](args, emit)
     except (SearchSpaceTooLarge, CapacityExceeded, ValueError) as err:
         # every library rejection here traces back to an argument
         raise UsageError(str(err)) from err

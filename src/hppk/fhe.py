@@ -13,9 +13,17 @@ Correctness needs the plain integer sum to stay below S, which the ring
 size condition bit_length(S) > 2*bit_length(p) + bit_length(term_count)
 guarantees.  The operator is additively and scalar-multiplicatively
 homomorphic; it does not support multiplying two ciphertexts.
+
+Two polynomials of one shape evaluated at one table can share a single
+evaluation: when every plain integer sum of the first stays below
+2**width, the matrix stack(a, b, width) = a + (b << width) evaluates to
+v_a + (v_b << width), and the low width bits and the rest are the two
+values exactly.
 """
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .modmath import ensure_wide, mod_inverse
@@ -89,9 +97,22 @@ def eval_cipher_poly(rows, table):
     """sum(coeff * monomial value) over the integers; no final reduction.
 
     table holds the value mod p of the monomial at every position of
-    rows, so the caller fixes both the variables and the monomial shape.
+    rows, so the caller fixes both the variables and the monomial shape;
+    both are read row-major, as one dot product.
     """
-    return sum(c * t for row, trow in zip(rows, table) for c, t in zip(row, trow))
+    return sum(map(operator.mul, chain.from_iterable(rows), chain.from_iterable(table)))
+
+
+def stack(a, b, width):
+    """Entry-wise a + (b << width) of two same-shape coefficient matrices.
+
+    eval_cipher_poly of the result is v_a + (v_b << width), which splits
+    back into v_a and v_b only when v_a < 2**width; the caller bounds the
+    entries of a so that it is.
+    """
+    return tuple(
+        tuple(x + (y << width) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
 
 
 def decrypt_value(key, value, prime):

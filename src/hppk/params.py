@@ -19,6 +19,7 @@ without --insecure-test-profile.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .modmath import WIDE_BITS, is_prime_64
 
@@ -77,41 +78,41 @@ class ParameterSet:
 
     # -- polynomial shape
 
-    @property
+    @cached_property
     def prime_bits(self):
         return self.prime.bit_length()
 
-    @property
+    @cached_property
     def message_degree(self):
         """Degree in the message variable of the public polynomials."""
         return self.base_degree + self.factor_degree
 
-    @property
+    @cached_property
     def term_count(self):
         """Monomials per public polynomial: (message_degree + 1) * noise_vars."""
         return (self.message_degree + 1) * self.noise_vars
 
     # -- per-block payload and KEM block count
 
-    @property
+    @cached_property
     def payload_bits(self):
         """Secret bits carried per block (flag byte excluded when degree 2)."""
         if self.factor_degree == 1:
             return self.prime_bits
         return self.prime_bits - _FLAG_BITS
 
-    @property
+    @cached_property
     def block_count(self):
         """Blocks per 32-byte shared secret."""
         return -(-8 * SHARED_SECRET_BYTES // self.payload_bits)
 
     # -- wire widths (bytes)
 
-    @property
+    @cached_property
     def coeff_bytes(self):
         return (self.ring_bits + 7) // 8
 
-    @property
+    @cached_property
     def value_bits(self):
         """Every unreduced ciphertext value is below 2**value_bits.
 
@@ -122,7 +123,7 @@ class ParameterSet:
         """
         return self.ring_bits + self.prime_bits + max(8, self.term_count.bit_length())
 
-    @property
+    @cached_property
     def value_bytes(self):
         """Width of one unreduced ciphertext value on the wire."""
         return (self.value_bits + 7) // 8

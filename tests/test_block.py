@@ -4,6 +4,7 @@ import pytest
 
 from hppk import fhe, kat
 from hppk.block import (
+    PublicKey,
     build_plain_central_map,
     crc8,
     decrypt_block,
@@ -96,6 +97,50 @@ def test_encrypt_block_validates_ranges(toy_params, toy_keypair):
         encrypt_block(pk, toy_params, 13, (3, 6))
     with pytest.raises(ValueError):
         encrypt_block(pk, toy_params, 8, (3,))
+
+
+# ring_bits 184 puts value_bits at 256, the widest admissible profile
+RING184 = ParameterSet(
+    prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1, noise_vars=3,
+    ring_bits=184,
+)
+
+
+def _filled(params, value):
+    return ((value,) * params.noise_vars,) * (params.message_degree + 1)
+
+
+@pytest.mark.parametrize("params", [RING184, PARAMETER_SETS["toy"]],
+                         ids=["ring184", "toy"])
+def test_stacked_evaluation_splits_at_the_proof_width(params):
+    # every coefficient and every monomial value at its maximum: the
+    # largest sum the ring-size proof has to cover
+    p, w = params.prime, params.value_bits
+    top = _filled(params, (1 << params.ring_bits) - 1)
+    table = _filled(params, p - 1)
+    v1 = fhe.eval_cipher_poly(top, table)
+    assert v1 < 1 << w
+    v = fhe.eval_cipher_poly(fhe.stack(top, top, w), table)
+    assert (v & ((1 << w) - 1), v >> w) == (v1, v1)
+    # x = 1 and noise p - 1 make every monomial value p - 1
+    ct = encrypt_block(PublicKey(top, top), params, 1, [p - 1] * params.noise_vars)
+    assert (ct.value1, ct.value2) == (v1, v1)
+
+
+@pytest.mark.parametrize("params", [RING184, PARAMETER_SETS["toy"]],
+                         ids=["ring184", "toy"])
+@pytest.mark.parametrize("bad, which", [
+    ("wide", 1), ("wide", 2), ("negative", 1), ("negative", 2),
+])
+def test_encrypt_block_rejects_entries_outside_the_ring(params, bad, which):
+    good = _filled(params, 1)
+    entry = 1 << params.ring_bits if bad == "wide" else -1
+    rows = [list(row) for row in good]
+    rows[-1][-1] = entry
+    odd = tuple(tuple(row) for row in rows)
+    pk = PublicKey(odd, good) if which == 1 else PublicKey(good, odd)
+    with pytest.raises(ValueError):
+        encrypt_block(pk, params, 1, [1] * params.noise_vars)
 
 
 def test_decrypt_block_toy(toy_params, toy_keypair, toy_block):

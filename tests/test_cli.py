@@ -228,11 +228,13 @@ def test_attack_ringsearch_guard(capsys):
     ("--oracle", "indcpa", "--trials", "0"),
     ("--oracle", "bruteforce", "--instances", "-2"),
     ("--oracle", "fratio", "--instances", "0"),
+    ("--oracle", "fratio", "--prime", "12"),
 ], ids=["prime4", "noise1", "nb0", "sbits1", "sbits4", "p31-sbits5", "sbits300",
-        "trials0", "instances-2", "instances0"])
+        "trials0", "instances-2", "instances0", "fratio-prime12"])
 def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
-    code, _, err = _run(capsys, "attack", *argv)
+    code, out, err = _run(capsys, "attack", *argv)
     assert code == 1
+    assert out == ""
     assert err.startswith("hppk: ")
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hppk import fhe, kem
-from hppk.block import BlockCiphertext, encrypt_block, keygen
+from hppk.block import BlockCiphertext, encrypt_block, keygen, monomial_table
 from hppk.errors import (
     DecapsFailure,
     DegenerateEquation,
@@ -322,3 +322,45 @@ def test_random_profile_round_trips(params, seed):
         assert kem.decaps(sk, params, ct) == ss
     except DecapsFailure as err:
         assert isinstance(err.cause, (ZeroDenominator, DegenerateEquation, NoValidRoot))
+
+
+def test_stacked_key_cache_is_invisible():
+    params = PARAMETER_SETS["level1-nb1"]
+    _, pk = keygen(params, DeterministicStream(b"cache-invisible"))
+    before = hash(pk), repr(pk), kem.serialize_pk(pk, params)
+    kem.encaps(pk, params, DeterministicStream(b"cache-invisible/encaps"))
+    assert pk.stacked(params) is pk.stacked(params)  # cached by encaps
+    wire = kem.deserialize_pk(kem.serialize_pk(pk, params), params)
+    assert pk == wire and wire == pk
+    assert hash(wire) == hash(pk)
+    assert (hash(pk), repr(pk), kem.serialize_pk(pk, params)) == before
+
+
+def test_one_key_under_two_ring_widths():
+    # same shape and prime, value_bits 208 and 256: a cached stack of one
+    # width split at the other would mix the two maps
+    narrow = PARAMETER_SETS["level1-nb1"]
+    wide = ParameterSet(
+        prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1, noise_vars=3,
+        ring_bits=184,
+    )
+    _, pk = keygen(narrow, DeterministicStream(b"two-widths"))
+    x, noise = 5, [7, 0, DEFAULT_PRIME_64 - 2]
+    for params in (narrow, wide, narrow, wide):
+        table = monomial_table(params, x, noise)
+        expected = BlockCiphertext(
+            fhe.eval_cipher_poly(pk.p1, table), fhe.eval_cipher_poly(pk.p2, table)
+        )
+        assert encrypt_block(pk, params, x, noise) == expected
+    # a key over a wider ring is over-wide for the narrow profile, also
+    # after a profile of the same value width, with a 32-bit prime and a
+    # 168-bit ring, has cached its stack
+    same_width = ParameterSet(
+        prime=(1 << 32) - 5, base_degree=1, factor_degree=1, noise_vars=3,
+        ring_bits=168,
+    )
+    assert same_width.value_bits == narrow.value_bits
+    _, wide_pk = keygen(same_width, DeterministicStream(b"two-widths/wide"))
+    encrypt_block(wide_pk, same_width, x, [7, 0, 11])
+    with pytest.raises(ValueError):
+        encrypt_block(wide_pk, narrow, x, [7, 0, 11])

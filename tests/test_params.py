@@ -77,3 +77,14 @@ def test_toy_profile_shape():
     assert toy.ring_bits == 13
     assert toy.payload_bits == 4
     assert toy.block_count == 64
+
+
+def test_cached_sizes_stay_out_of_equality():
+    a = ParameterSet(prime=DEFAULT_PRIME_64, base_degree=2, factor_degree=1,
+                     noise_vars=4)
+    b = ParameterSet(prime=DEFAULT_PRIME_64, base_degree=2, factor_degree=1,
+                     noise_vars=4)
+    sizes = (a.prime_bits, a.message_degree, a.term_count, a.payload_bits,
+             a.block_count, a.coeff_bytes, a.value_bits, a.value_bytes)
+    assert sizes == (64, 3, 16, 64, 4, 17, 208, 26)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
