@@ -18,6 +18,8 @@ polynomial cancels from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear
 (factor_degree 1) or quadratic (factor_degree 2) congruence in x that is
 solved without first forming the ratio c1/c2.  Degree-2 profiles embed
 an 8-bit CRC flag in the plaintext so the right root can be identified.
+
+A key's checks against a profile live in private_key and PublicKey.stacked.
 """
 
 from dataclasses import dataclass
@@ -85,22 +87,25 @@ class PublicKey:
         return len(self.p1), len(self.p1[0])
 
     def stacked(self, params):
-        """fhe.stack(p1, p2, params.value_bits), built once per ring and width.
+        """fhe.stack(p1, p2, params.value_bits), checked and built once per profile.
 
-        The split of a stacked evaluation is exact only when every entry
-        lies in [0, 2**ring_bits), so that each map's value stays below
-        2**value_bits; any other entry raises ValueError.  The matrix is
+        This is the public key's one profile check.  The matrices must
+        have the profile's (message_degree+1) x noise_vars shape, and the
+        split of a stacked evaluation is exact only when every entry lies
+        in [0, 2**ring_bits), so that each map's value stays below
+        2**value_bits; anything else raises ValueError.  The matrix is
         kept on the instance outside the dataclass fields, so equality,
-        hash, repr and the wire format never see it, and it is rebuilt
-        when a profile with another ring or width asks for it.
+        hash, repr and the wire format never see it, and it is checked
+        and rebuilt when another ParameterSet object asks for it.
         """
-        key = (params.ring_bits, params.value_bits)
         cached = self.__dict__.get("_stacked")
-        if cached is None or cached[0] != key:
+        if cached is None or cached[0] is not params:
+            if self.shape != (params.message_degree + 1, params.noise_vars):
+                raise ValueError("public key shape does not match the parameter set")
             entries = [c for mat in (self.p1, self.p2) for row in mat for c in row]
             if min(entries) < 0 or max(entries) >= 1 << params.ring_bits:
                 raise ValueError("public key coefficient outside [0, 2**ring_bits)")
-            cached = key, fhe.stack(self.p1, self.p2, params.value_bits)
+            cached = params, fhe.stack(self.p1, self.p2, params.value_bits)
             object.__setattr__(self, "_stacked", cached)
         return cached[1]
 
@@ -208,30 +213,44 @@ def _sample_factor(prime, degree, rng):
     return coeffs
 
 
-def _assemble(params, key1, key2, f1, f2, base_rows):
+def _assemble(params, sk, base_rows):
     """Build both products b*f1, b*f2 and mask each under its own key."""
     p = params.prime
     pk = PublicKey(
-        fhe.encrypt_coeffs(key1, build_plain_central_map(base_rows, f1, p)),
-        fhe.encrypt_coeffs(key2, build_plain_central_map(base_rows, f2, p)),
+        fhe.encrypt_coeffs(sk.key1, build_plain_central_map(base_rows, sk.f1, p)),
+        fhe.encrypt_coeffs(sk.key2, build_plain_central_map(base_rows, sk.f2, p)),
     )
-    return PrivateKey(key1, key2, tuple(f1), tuple(f2)), pk
+    return sk, pk
+
+
+def private_key(params, modulus, r1, r2, f1, f2):
+    """A private key checked against the profile: a ring_bits-wide modulus,
+    factor_degree + 1 coefficients in [0, p) per factor, factors not
+    proportional mod p.  Raises ValueError, or NotCoprime for a non-unit.
+    """
+    p = params.prime
+    ring = fhe.HiddenRing(modulus)
+    if ring.bit_length != params.ring_bits:
+        raise ValueError("ring modulus has the wrong bit length")
+    if len(f1) != params.factor_degree + 1 or len(f2) != params.factor_degree + 1:
+        raise ValueError("factor length does not match the parameter set")
+    if not all(0 <= c < p for c in (*f1, *f2)):
+        raise ValueError("factor coefficient outside [0, p)")
+    sk = PrivateKey(
+        fhe.HomomorphicKey(ring, r1), fhe.HomomorphicKey(ring, r2), tuple(f1), tuple(f2)
+    )
+    if _proportional(sk.f1, sk.f2, p):
+        raise ValueError("factor polynomials are proportional mod p")
+    return sk
 
 
 def keypair_from_values(params, modulus, r1, r2, f1, f2, base_rows):
     """Assemble a key pair from explicit private values (fixtures, KATs)."""
-    if len(f1) != params.factor_degree + 1 or len(f2) != params.factor_degree + 1:
-        raise ValueError("factor length does not match the parameter set")
     if len(base_rows) != params.base_degree + 1 or any(
         len(row) != params.noise_vars for row in base_rows
     ):
         raise ValueError("base matrix shape does not match the parameter set")
-    ring = fhe.HiddenRing(modulus)
-    key1 = fhe.HomomorphicKey(ring, r1, mod_inverse(r1, modulus))
-    key2 = fhe.HomomorphicKey(ring, r2, mod_inverse(r2, modulus))
-    if _proportional(f1, f2, params.prime):
-        raise ValueError("factor polynomials are proportional mod p")
-    return _assemble(params, key1, key2, f1, f2, base_rows)
+    return _assemble(params, private_key(params, modulus, r1, r2, f1, f2), base_rows)
 
 
 def sample_keypair(params, ring_bits, rng):
@@ -256,7 +275,7 @@ def sample_keypair(params, ring_bits, rng):
         [rng.below(p) for _ in range(params.noise_vars)]
         for _ in range(params.base_degree + 1)
     ]
-    return _assemble(params, key1, key2, f1, f2, base_rows)
+    return _assemble(params, PrivateKey(key1, key2, tuple(f1), tuple(f2)), base_rows)
 
 
 def keygen(params, rng):
@@ -285,8 +304,6 @@ def encrypt_block(pk, params, x, noise):
     monomial table gives value1 + (value2 << value_bits).
     """
     p = params.prime
-    if pk.shape != (params.message_degree + 1, params.noise_vars):
-        raise ValueError("public key shape does not match the parameter set")
     if not 0 <= x < p:
         raise ValueError("secret must lie in [0, p)")
     if len(noise) != params.noise_vars:

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import bench, fhe, kat, kem
-from .block import encrypt_block, keygen, keypair_from_values
+from .block import keygen
 from .errors import (
     CapacityExceeded,
     DecapsFailure,
@@ -195,13 +195,8 @@ def _attack_bruteforce(args, emit):
         start = time.perf_counter()
         if instance == 0 and args.prime == 13 and args.noise == 2 and args.nb == 1:
             # the hand-checkable toy vector
-            params_toy = PARAMETER_SETS["toy"]
-            _, pk = keypair_from_values(
-                params_toy, kat.TOY_MODULUS, kat.TOY_R1, kat.TOY_R2,
-                kat.TOY_F1, kat.TOY_F2, kat.TOY_BASE,
-            )
-            block = encrypt_block(pk, params_toy, kat.TOY_SECRET, kat.TOY_NOISE)
-            system = analysis.reduce_mod_p(pk, block, params_toy.prime)
+            _, pk, block = kat.toy_instance()
+            system = analysis.reduce_mod_p(pk, block, PARAMETER_SETS["toy"].prime)
             witness = (kat.TOY_SECRET, *kat.TOY_NOISE)
         else:
             system, witness = analysis.random_planted_system(params, rng)

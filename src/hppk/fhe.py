@@ -1,13 +1,15 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
 A key is a pair (R, S): S is a secret ring modulus and R a unit of Z_S.
-A polynomial is held as a coefficient matrix (rows x cols), and a point
-of evaluation as a table of monomial values mod p of the same shape;
-any polynomial with T terms is a 1 x T matrix.  Encrypting multiplies
-every coefficient by R mod S.  The variables stay in F_p, so anyone can
-still evaluate the cipher polynomial: the sum of coefficient * monomial
-value over the plain integers.  Whoever holds (R, S) undoes the mask
-with R^-1 mod S and reduces mod p to recover the plain polynomial value.
+HomomorphicKey derives R^-1 mod S when it is built, the one place a
+key's unit is checked and inverted.  A polynomial is held as a
+coefficient matrix (rows x cols), and a point of evaluation as a table
+of monomial values mod p of the same shape; any polynomial with T terms
+is a 1 x T matrix.  Encrypting multiplies every coefficient by R mod S.
+The variables stay in F_p, so anyone can still evaluate the cipher
+polynomial: the sum of coefficient * monomial value over the plain
+integers.  Whoever holds (R, S) undoes the mask with R^-1 mod S and
+reduces mod p to recover the plain polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
 size condition bit_length(S) > 2*bit_length(p) + bit_length(term_count)
@@ -22,7 +24,7 @@ values exactly.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 
@@ -47,18 +49,17 @@ class HiddenRing:
 
 @dataclass(frozen=True)
 class HomomorphicKey:
-    """A unit mult of the hidden ring together with its inverse."""
+    """A unit mult of the hidden ring, and its inverse derived from it.
+
+    mult outside (0, S) raises ValueError, a non-unit NotCoprime.
+    """
 
     ring: HiddenRing
     mult: int
-    mult_inv: int
+    mult_inv: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.ring.modulus
-        if not 0 < self.mult < s:
-            raise ValueError("multiplier must lie in (0, S)")
-        if self.mult * self.mult_inv % s != 1:
-            raise ValueError("multiplier inverse is wrong")
+        object.__setattr__(self, "mult_inv", mod_inverse(self.mult, self.ring.modulus))
 
 
 def ring_gen(bits, rng):
@@ -74,12 +75,12 @@ def ring_gen(bits, rng):
 
 
 def he_keygen(ring, rng):
-    """Sample a unit of Z_S by rejection and precompute its inverse."""
+    """Sample a unit of Z_S by rejection."""
     s = ring.modulus
     while True:
         r = rng.below(s)
         if r != 0 and gcd(r, s) == 1:
-            return HomomorphicKey(ring, r, mod_inverse(r, s))
+            return HomomorphicKey(ring, r)
 
 
 def encrypt_value(key, value):

@@ -46,13 +46,19 @@ class KatRecord:
     ss: bytes
 
 
-def toy_vector():
-    """The fixture record, rebuilt from first principles on every call."""
+def toy_instance():
+    """(sk, pk, block) of the toy vector under the "toy" profile, built anew."""
     params = PARAMETER_SETS["toy"]
     sk, pk = keypair_from_values(
         params, TOY_MODULUS, TOY_R1, TOY_R2, TOY_F1, TOY_F2, TOY_BASE
     )
-    block = encrypt_block(pk, params, TOY_SECRET, TOY_NOISE)
+    return sk, pk, encrypt_block(pk, params, TOY_SECRET, TOY_NOISE)
+
+
+def toy_vector():
+    """The fixture record, rebuilt from first principles on every call."""
+    params = PARAMETER_SETS["toy"]
+    sk, pk, block = toy_instance()
     ct = kem.KemCiphertext((block,))
     return KatRecord(
         profile="toy",
@@ -166,7 +172,7 @@ def verify_record(rec):
         expected = record_from_seed(rec.profile, rec.count, rec.seed)
     else:
         return False, "mode"
-    for name in ("pk", "sk", "ct", "ss"):
+    for name in ("profile", "count", "pk", "sk", "ct", "ss"):
         if getattr(rec, name) != getattr(expected, name):
             return False, name
     return True, None

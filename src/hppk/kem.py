@@ -11,22 +11,24 @@ parameter set: ring coefficients in coeff_bytes, unreduced ciphertext
 values in value_bytes, factor coefficients in 8 bytes.  Serialized keys
 carry no parameter header; the parameter set travels out of band.
 
+The key parsers only split bytes: block.private_key and PublicKey.stacked
+check the keys, and their rejections are re-raised as MalformedEncoding.
+
 File extensions: .hpk public key, .hsk secret key, .hct ciphertext,
 .hss shared secret (32 raw bytes).
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
-from . import fhe
 from .block import (
     BlockCiphertext,
-    PrivateKey,
     PublicKey,
-    _proportional,
     decrypt_block,
     encrypt_block,
     format_plaintext,
     linear_fraction,
+    private_key,
 )
 from .errors import (
     DecapsFailure,
@@ -35,7 +37,9 @@ from .errors import (
     NotCoprime,
     PayloadTooLarge,
 )
-from .modmath import batch_inverse, mod_inverse
+# kem calls no mod_inverse; perfbench/tests/test_perfbench.py's
+# test_tracer_wraps_import_sites_and_restores_them needs the name bound here
+from .modmath import batch_inverse, mod_inverse  # noqa: F401
 from .params import SHARED_SECRET_BYTES
 
 
@@ -120,109 +124,64 @@ def decaps(sk, params, ct):
 # -- wire formats
 
 
-def _chunk(data, width):
-    return [
-        int.from_bytes(data[i : i + width], "little")
-        for i in range(0, len(data), width)
-    ]
+def _pack(*runs):
+    """Each run is (values, width): every value little-endian at its width."""
+    return b"".join([v.to_bytes(w, "little") for values, w in runs for v in values])
+
+
+def _unpack(data, what, *runs):
+    """Inverse of _pack for (count, width) runs; the one length check."""
+    widths = [width for count, width in runs for _ in range(count)]
+    if len(data) != sum(widths):
+        raise MalformedEncoding(f"{what} must be {sum(widths)} bytes, got {len(data)}")
+    offsets = accumulate(widths, initial=0)
+    return [int.from_bytes(data[i : i + w], "little") for i, w in zip(offsets, widths)]
 
 
 def serialize_pk(pk, params):
     """Both matrices row-major (row index outer, column inner), map 1 then map 2."""
-    w = params.coeff_bytes
-    out = bytearray()
-    for mat in (pk.p1, pk.p2):
-        for row in mat:
-            for c in row:
-                out += c.to_bytes(w, "little")
-    return bytes(out)
+    return _pack((chain.from_iterable(pk.p1 + pk.p2), params.coeff_bytes))
 
 
 def deserialize_pk(data, params):
-    if len(data) != params.public_key_bytes:
-        raise MalformedEncoding(
-            f"public key must be {params.public_key_bytes} bytes, got {len(data)}"
-        )
-    entries = _chunk(data, params.coeff_bytes)
-    limit = 1 << params.ring_bits
-    if any(e >= limit for e in entries):
-        raise MalformedEncoding("coefficient exceeds the ring width")
-    rows = params.message_degree + 1
-    cols = params.noise_vars
-    half = rows * cols
-    mats = []
-    for off in (0, half):
-        mats.append(
-            tuple(
-                tuple(entries[off + i * cols + j] for j in range(cols))
-                for i in range(rows)
-            )
-        )
-    return PublicKey(mats[0], mats[1])
+    """Strict inverse of serialize_pk; the key comes back checked and stacked."""
+    n, cols = params.message_degree + 1, params.noise_vars
+    entries = _unpack(data, "public key", (2 * n * cols, params.coeff_bytes))
+    rows = [tuple(entries[i : i + cols]) for i in range(0, 2 * n * cols, cols)]
+    pk = PublicKey(tuple(rows[:n]), tuple(rows[n:]))
+    try:
+        pk.stacked(params)
+    except ValueError as err:
+        raise MalformedEncoding(f"public key: {err}") from err
+    return pk
 
 
 def serialize_sk(sk, params):
     """Modulus, r1, r2 at coefficient width, then f1 and f2 ascending, 8 bytes each."""
-    w = params.coeff_bytes
-    out = bytearray()
-    for v in (sk.modulus, sk.r1, sk.r2):
-        out += v.to_bytes(w, "little")
-    for f in (sk.f1, sk.f2):
-        for c in f:
-            out += c.to_bytes(8, "little")
-    return bytes(out)
+    return _pack(((sk.modulus, sk.r1, sk.r2), params.coeff_bytes), (sk.f1 + sk.f2, 8))
 
 
 def deserialize_sk(data, params):
-    if len(data) != params.secret_key_bytes:
-        raise MalformedEncoding(
-            f"secret key must be {params.secret_key_bytes} bytes, got {len(data)}"
-        )
-    w = params.coeff_bytes
-    modulus, r1, r2 = _chunk(data[: 3 * w], w)
-    if modulus.bit_length() != params.ring_bits:
-        raise MalformedEncoding("ring modulus has the wrong bit length")
-    if not (0 < r1 < modulus and 0 < r2 < modulus):
-        raise MalformedEncoding("multiplier is not a unit of the ring")
-    ring = fhe.HiddenRing(modulus)
-    try:
-        key1, key2 = [
-            fhe.HomomorphicKey(ring, r, mod_inverse(r, modulus)) for r in (r1, r2)
-        ]
-    except NotCoprime as err:
-        raise MalformedEncoding("multiplier is not a unit of the ring") from err
-    coeffs = _chunk(data[3 * w :], 8)
-    if any(c >= params.prime for c in coeffs):
-        raise MalformedEncoding("factor coefficient exceeds the prime")
+    """Strict inverse of serialize_sk; block.private_key checks the values."""
     k = params.factor_degree + 1
-    f1, f2 = tuple(coeffs[:k]), tuple(coeffs[k:])
-    if f1[-1] == 0 or f2[-1] == 0:
-        raise MalformedEncoding("factor polynomial has a zero leading coefficient")
-    if _proportional(f1, f2, params.prime):
-        raise MalformedEncoding("factor polynomials are proportional")
-    return PrivateKey(key1, key2, f1, f2)
+    runs = (3, params.coeff_bytes), (2 * k, 8)
+    modulus, r1, r2, *coeffs = _unpack(data, "secret key", *runs)
+    try:
+        return private_key(params, modulus, r1, r2, coeffs[:k], coeffs[k:])
+    except (ValueError, NotCoprime) as err:
+        raise MalformedEncoding(f"secret key: {err}") from err
 
 
 def serialize_ct(ct, params):
     """Blocks in order, (value1, value2) per block, value_bytes each."""
-    w = params.value_bytes
-    out = bytearray()
-    for blk in ct.blocks:
-        out += blk.value1.to_bytes(w, "little")
-        out += blk.value2.to_bytes(w, "little")
-    return bytes(out)
+    values = [v for blk in ct.blocks for v in (blk.value1, blk.value2)]
+    return _pack((values, params.value_bytes))
 
 
 def deserialize_ct(data, params):
     """Strict inverse of serialize_ct."""
-    if len(data) != params.ciphertext_bytes:
-        raise MalformedEncoding(
-            f"ciphertext must be {params.ciphertext_bytes} bytes, got {len(data)}"
-        )
-    w = params.value_bytes
-    values = _chunk(data, w)
-    limit = 1 << params.value_bits
-    if any(v >= limit for v in values):
+    values = _unpack(data, "ciphertext", (2 * params.block_count, params.value_bytes))
+    if max(values) >= 1 << params.value_bits:
         raise MalformedEncoding("ciphertext value exceeds its width bound")
     blocks = tuple(
         BlockCiphertext(values[2 * k], values[2 * k + 1])

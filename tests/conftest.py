@@ -1,7 +1,6 @@
 import pytest
 
 from hppk import kat
-from hppk.block import encrypt_block, keypair_from_values
 from hppk.params import PARAMETER_SETS
 
 
@@ -11,19 +10,16 @@ def toy_params():
 
 
 @pytest.fixture(scope="session")
-def toy_keypair(toy_params):
-    return keypair_from_values(
-        toy_params,
-        kat.TOY_MODULUS,
-        kat.TOY_R1,
-        kat.TOY_R2,
-        kat.TOY_F1,
-        kat.TOY_F2,
-        kat.TOY_BASE,
-    )
+def toy_instance():
+    return kat.toy_instance()
 
 
 @pytest.fixture(scope="session")
-def toy_block(toy_params, toy_keypair):
-    _, pk = toy_keypair
-    return encrypt_block(pk, toy_params, kat.TOY_SECRET, kat.TOY_NOISE)
+def toy_keypair(toy_instance):
+    sk, pk, _ = toy_instance
+    return sk, pk
+
+
+@pytest.fixture(scope="session")
+def toy_block(toy_instance):
+    return toy_instance[2]

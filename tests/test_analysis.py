@@ -329,7 +329,7 @@ def _reference_ring_search(pk, params, s_bits):
             work += len(units)
             kept = []
             for v in units:
-                key = fhe.HomomorphicKey(ring, pow(v, -1, modulus), v)
+                key = fhe.HomomorphicKey(ring, pow(v, -1, modulus))
                 plain = fhe.decrypt_coeffs(key, matrix, params.prime)
                 try:
                     analysis.recover_f_ratio(plain, plain, params)

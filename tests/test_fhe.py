@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hppk import fhe
+from hppk.errors import NotCoprime
 from hppk.rng import DeterministicStream, StubRng
 
 
@@ -41,6 +42,30 @@ def test_he_keygen_toy_keys():
     assert key2.mult * key2.mult_inv % 6798 == 1
 
 
+def test_homomorphic_key_derives_its_inverse():
+    ring = fhe.HiddenRing(6798)
+    key = fhe.HomomorphicKey(ring, 6475)
+    assert key.mult_inv == 5893
+    assert key == fhe.HomomorphicKey(fhe.HiddenRing(6798), 6475)
+    assert hash(key) == hash(fhe.HomomorphicKey(ring, 6475))
+    assert "mult_inv" not in repr(key)
+    with pytest.raises(TypeError):
+        fhe.HomomorphicKey(ring, 6475, 5893)
+
+
+@pytest.mark.parametrize("mult", [0, 6798, 6799, -1])
+def test_homomorphic_key_rejects_multipliers_outside_the_ring(mult):
+    with pytest.raises(ValueError):
+        fhe.HomomorphicKey(fhe.HiddenRing(6798), mult)
+
+
+@pytest.mark.parametrize("mult", [2, 33, 103, 6798 - 103])
+def test_homomorphic_key_rejects_non_units(mult):
+    # 6798 = 2 * 3 * 11 * 103
+    with pytest.raises(NotCoprime):
+        fhe.HomomorphicKey(fhe.HiddenRing(6798), mult)
+
+
 def test_he_keygen_rejects_non_units():
     ring = fhe.HiddenRing(8)
     key = fhe.he_keygen(ring, StubRng([2, 5]))  # gcd(2, 8) = 2, so 2 is skipped
@@ -57,7 +82,7 @@ TOY_TABLE = ((3, 6), (11, 9), (10, 7))
 
 def test_encrypt_coeffs_toy_values():
     ring = fhe.HiddenRing(6798)
-    key = fhe.HomomorphicKey(ring, 4267, 6379)
+    key = fhe.HomomorphicKey(ring, 4267)
     assert fhe.encrypt_value(key, 6) == 5208
     assert fhe.encrypt_value(key, 9) == 4413
     assert fhe.encrypt_value(key, 0) == 0
@@ -73,13 +98,13 @@ def test_eval_cipher_poly_toy_values():
 
 def test_decrypt_value_toy():
     ring = fhe.HiddenRing(6798)
-    key1 = fhe.HomomorphicKey(ring, 4267, 6379)
+    key1 = fhe.HomomorphicKey(ring, 4267)
     # 6*3 + 9*11 + 11*10 + 7*6 + 11*9 + 8*7
     assert fhe.eval_cipher_poly(TOY_PLAIN1, TOY_TABLE) == 424
     # reducing by S itself leaves the unmasked plain integer sum
     assert fhe.decrypt_value(key1, 198082, ring.modulus) == 424
     assert fhe.decrypt_value(key1, 198082, 13) == 8
-    key2 = fhe.HomomorphicKey(ring, 6475, 5893)
+    key2 = fhe.HomomorphicKey(ring, 6475)
     assert fhe.decrypt_value(key2, 192229, 13) == 9
     assert fhe.decrypt_value(key1, 0, ring.modulus) == 0
     assert fhe.decrypt_value(key1, 0, 13) == 0

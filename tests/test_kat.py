@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 
@@ -73,6 +74,16 @@ def test_fixture_record_tamper_detected():
     )
     ok, field = kat.verify_record(tampered)
     assert not ok and field == "ss"
+
+
+@pytest.mark.parametrize("label, expected", [
+    ({"profile": "level1-nb1", "count": 7}, "profile"),
+    ({"profile": "level1-nb1"}, "profile"),
+    ({"count": 7}, "count"),
+], ids=["profile-and-count", "profile", "count"])
+def test_fixture_record_relabel_detected(label, expected):
+    ok, field = kat.verify_record(dataclasses.replace(kat.toy_vector(), **label))
+    assert not ok and field == expected
 
 
 def test_seeded_record_survives_suite_io():

@@ -3,11 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hppk import fhe, kem
-from hppk.block import BlockCiphertext, encrypt_block, keygen, monomial_table
+from hppk import kat
+from hppk.block import (
+    BlockCiphertext,
+    encrypt_block,
+    keygen,
+    keypair_from_values,
+    monomial_table,
+)
 from hppk.errors import (
     DecapsFailure,
     DegenerateEquation,
     MalformedEncoding,
+    NotCoprime,
     NoValidRoot,
     ZeroDenominator,
 )
@@ -364,3 +372,58 @@ def test_one_key_under_two_ring_widths():
     encrypt_block(wide_pk, same_width, x, [7, 0, 11])
     with pytest.raises(ValueError):
         encrypt_block(wide_pk, narrow, x, [7, 0, 11])
+
+
+def test_key_checked_under_its_profile_only():
+    # equal ring and value widths, transposed shapes: only the shape tells
+    # the two profiles apart
+    own, other = PARAMETER_SETS["level1-nb2"], PARAMETER_SETS["level3-nb1"]
+    assert (own.message_degree + 1, own.noise_vars) == (4, 3)
+    assert (other.message_degree + 1, other.noise_vars) == (3, 4)
+    assert (own.ring_bits, own.value_bits) == (other.ring_bits, other.value_bits)
+    _, pk = keygen(own, DeterministicStream(b"two-shapes"))
+    encrypt_block(pk, own, 5, [1, 2, 3])
+    with pytest.raises(ValueError, match="shape"):
+        encrypt_block(pk, other, 5, [1, 2, 3, 4])
+    encrypt_block(pk, own, 5, [1, 2, 3])
+
+
+# the toy private values, and one invalid value per case; 6798 = 2*3*11*103
+TOY_PRIVATE = dict(
+    modulus=kat.TOY_MODULUS, r1=kat.TOY_R1, r2=kat.TOY_R2, f1=kat.TOY_F1, f2=kat.TOY_F2,
+)
+INVALID_PRIVATE = {
+    "modulus-one-bit-wide": ({"modulus": 16383}, ValueError),
+    "modulus-zero": ({"modulus": 0}, ValueError),
+    "r1-zero": ({"r1": 0}, ValueError),
+    "r2-equals-modulus": ({"r2": kat.TOY_MODULUS}, ValueError),
+    "r1-shares-2": ({"r1": 4266}, NotCoprime),
+    "r2-shares-103": ({"r2": 6798 - 103}, NotCoprime),
+    "f1-zero-leading": ({"f1": (4, 0)}, ValueError),
+    "f2-zero-leading": ({"f2": (10, 0)}, ValueError),
+    "f1-coefficient-is-p": ({"f1": (13, 9)}, ValueError),
+    "f2-leading-is-p": ({"f2": (10, 13)}, ValueError),
+    "proportional": ({"f2": (8, 5)}, ValueError),  # 2 * (4, 9) mod 13
+}
+
+
+def _toy_sk_bytes(toy_params, modulus, r1, r2, f1, f2):
+    w = toy_params.coeff_bytes
+    return b"".join(
+        [v.to_bytes(w, "little") for v in (modulus, r1, r2)]
+        + [c.to_bytes(8, "little") for c in (*f1, *f2)]
+    )
+
+
+def test_valid_private_values_pass_both_entry_points(toy_params):
+    sk, _ = keypair_from_values(toy_params, **TOY_PRIVATE, base_rows=kat.TOY_BASE)
+    assert kem.deserialize_sk(_toy_sk_bytes(toy_params, **TOY_PRIVATE), toy_params) == sk
+
+
+@pytest.mark.parametrize("change, error", INVALID_PRIVATE.values(), ids=INVALID_PRIVATE)
+def test_invalid_private_values_fail_both_entry_points(toy_params, change, error):
+    values = {**TOY_PRIVATE, **change}
+    with pytest.raises(error):
+        keypair_from_values(toy_params, **values, base_rows=kat.TOY_BASE)
+    with pytest.raises(MalformedEncoding):
+        kem.deserialize_sk(_toy_sk_bytes(toy_params, **values), toy_params)
