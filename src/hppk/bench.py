@@ -3,7 +3,9 @@
 Reports the median and quartiles in nanoseconds over at least 1000
 timed iterations preceded by at least 100 warm-up iterations.
 Comparisons are made as ratios between configurations, never against
-absolute figures from other machines.
+absolute figures from other machines.  Configurations to be compared are
+timed in one run, one call of each in turn, so that a slow phase of a
+shared host lands on all of them alike.
 """
 
 import statistics
@@ -48,27 +50,36 @@ def _make_callable(operation, params, rng):
     raise ValueError(f"unknown operation {operation!r}")
 
 
-def run_bench(operation, params, rng, iterations=2000, warmup=200):
-    """Time one operation; raises ValueError below the iteration floor."""
+def run_bench(operation, profiles, rng, iterations=2000, warmup=200):
+    """Time one operation under each profile, calls interleaved across them.
+
+    Returns one BenchReport per profile, in order; raises ValueError
+    below the iteration floor.
+    """
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if warmup < MIN_WARMUP:
         raise ValueError(f"need at least {MIN_WARMUP} warm-up iterations")
-    call = _make_callable(operation, params, rng)
+    calls = [_make_callable(operation, params, rng) for params in profiles]
     for _ in range(warmup):
-        call()
-    samples = []
+        for call in calls:
+            call()
+    samples = [[] for _ in calls]
     for _ in range(iterations):
-        start = time.perf_counter_ns()
-        call()
-        samples.append(time.perf_counter_ns() - start)
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return BenchReport(
-        operation=operation,
-        label=params.label,
-        iterations=iterations,
-        warmup=warmup,
-        median_ns=int(median),
-        q1_ns=int(q1),
-        q3_ns=int(q3),
-    )
+        for call, out in zip(calls, samples):
+            start = time.perf_counter_ns()
+            call()
+            out.append(time.perf_counter_ns() - start)
+    reports = []
+    for params, times in zip(profiles, samples):
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        reports.append(BenchReport(
+            operation=operation,
+            label=params.label,
+            iterations=iterations,
+            warmup=warmup,
+            median_ns=int(median),
+            q1_ns=int(q1),
+            q3_ns=int(q3),
+        ))
+    return reports

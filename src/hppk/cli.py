@@ -161,8 +161,8 @@ def _cmd_bench(args):
     _at_least_one(args.iterations, "--iterations")
     params = _profile(args)
     try:
-        report = bench.run_bench(
-            args.op, params, SystemRng(),
+        (report,) = bench.run_bench(
+            args.op, [params], SystemRng(),
             iterations=args.iterations, warmup=args.warmup,
         )
     except ValueError as err:

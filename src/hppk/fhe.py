@@ -1,8 +1,8 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
 A key is a pair (R, S): S is a secret ring modulus and R a unit of Z_S.
-HomomorphicKey derives R^-1 mod S when it is built, the one place a
-key's unit is checked and inverted.  A polynomial is held as a
+HomomorphicKey checks R when it is built and derives R^-1 mod S when it
+first decrypts, as masking needs only R.  A polynomial is held as a
 coefficient matrix (rows x cols), and a point of evaluation as a table
 of monomial values mod p of the same shape; any polynomial with T terms
 is a 1 x T matrix.  Encrypting multiplies every coefficient by R mod S.
@@ -24,10 +24,12 @@ values exactly.
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
 
+from .errors import NotCoprime
 from .modmath import ensure_wide, mod_inverse
 
 
@@ -49,17 +51,23 @@ class HiddenRing:
 
 @dataclass(frozen=True)
 class HomomorphicKey:
-    """A unit mult of the hidden ring, and its inverse derived from it.
+    """A unit mult of the hidden ring; its inverse is derived on first use.
 
     mult outside (0, S) raises ValueError, a non-unit NotCoprime.
     """
 
     ring: HiddenRing
     mult: int
-    mult_inv: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mult_inv", mod_inverse(self.mult, self.ring.modulus))
+        if not 0 < self.mult < self.ring.modulus:
+            raise ValueError("multiplier must lie in (0, S)")
+        if gcd(self.mult, self.ring.modulus) != 1:
+            raise NotCoprime("multiplier is not a unit of the ring")
+
+    @cached_property
+    def mult_inv(self):
+        return mod_inverse(self.mult, self.ring.modulus)
 
 
 def ring_gen(bits, rng):
@@ -75,12 +83,13 @@ def ring_gen(bits, rng):
 
 
 def he_keygen(ring, rng):
-    """Sample a unit of Z_S by rejection."""
-    s = ring.modulus
+    """Sample a unit of Z_S by rejection: zero and non-units are redrawn."""
     while True:
-        r = rng.below(s)
-        if r != 0 and gcd(r, s) == 1:
+        r = rng.below(ring.modulus)
+        try:
             return HomomorphicKey(ring, r)
+        except (ValueError, NotCoprime):
+            pass
 
 
 def encrypt_value(key, value):
@@ -129,5 +138,4 @@ def decrypt_value(key, value, prime):
 
 def decrypt_coeffs(key, rows, prime):
     """Recover a plain coefficient matrix mod prime from its encryption."""
-    r_inv, s = key.mult_inv, key.ring.modulus
-    return tuple(tuple(r_inv * c % s % prime for c in row) for row in rows)
+    return tuple(tuple(decrypt_value(key, c, prime) for c in row) for row in rows)

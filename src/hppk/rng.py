@@ -3,7 +3,7 @@
 Every sampling operation in this package draws from an object with three
 methods:
 
-  take_bytes(n) -> bytes   next n bytes of the stream
+  take_bytes(n) -> bytes   next n >= 0 bytes of the stream
   bits(k)       -> int     next k bits: ceil(k/8) bytes read little-endian,
                            masked to the low k bits
   below(n)      -> int     uniform in [0, n): rejection sampling on
@@ -47,6 +47,8 @@ class DeterministicStream(_ByteSource):
         self._buf = b""
 
     def take_bytes(self, n):
+        if n < 0:
+            raise ValueError("n must be non-negative")
         while len(self._buf) < n:
             block = hashlib.shake_256(
                 self._seed + self._counter.to_bytes(8, "little")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hppk import analysis, fhe, kat
+from hppk import analysis, fhe
 from hppk.block import encrypt_block, keygen, keypair_from_values
 from hppk.errors import (
     EliminationFailed,

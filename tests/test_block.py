@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hppk import fhe, kat
+from hppk import fhe
 from hppk.block import (
     PublicKey,
     build_plain_central_map,

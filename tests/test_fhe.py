@@ -53,6 +53,25 @@ def test_homomorphic_key_derives_its_inverse():
         fhe.HomomorphicKey(ring, 6475, 5893)
 
 
+def test_homomorphic_key_inverts_once_on_first_use(monkeypatch):
+    calls = []
+    real = fhe.mod_inverse
+
+    def counted(a, m):
+        calls.append(m)
+        return real(a, m)
+
+    monkeypatch.setattr(fhe, "mod_inverse", counted)
+    rng = DeterministicStream(b"lazy-inverse")
+    ring = fhe.ring_gen(136, rng)
+    key = fhe.he_keygen(ring, rng)
+    assert calls == []
+    assert key.mult_inv == pow(key.mult, -1, ring.modulus)
+    assert fhe.decrypt_value(key, fhe.encrypt_value(key, 1234), 1 << 64) == 1234
+    assert calls == [ring.modulus]
+    assert key == fhe.HomomorphicKey(ring, key.mult)
+
+
 @pytest.mark.parametrize("mult", [0, 6798, 6799, -1])
 def test_homomorphic_key_rejects_multipliers_outside_the_ring(mult):
     with pytest.raises(ValueError):

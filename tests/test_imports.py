@@ -1,0 +1,51 @@
+"""Every name a test module imports is used in that module.
+
+An import is exempt when its line carries `# noqa: F401`, as it does
+for imports kept for their side effect.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def unused_imports(source):
+    """(line, name) of every imported name the module never loads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, bound))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [
+        (line, name) for line, name in imported
+        if name not in used and "# noqa: F401" not in lines[line - 1]
+    ]
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_scan():
+    source = (
+        "import os\n"
+        "import os.path\n"
+        "import json  # noqa: F401\n"
+        "from math import (\n"
+        "    gcd,\n"
+        "    lcm,\n"
+        ")\n"
+        "from x import y as z\n"
+        "print(os, lcm(2, 3), z)\n"
+    )
+    assert unused_imports(source) == [(5, "gcd")]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from hppk.errors import (
     NoValidRoot,
     ZeroDenominator,
 )
-from hppk.modmath import WIDE_BITS
+from hppk.modmath import WIDE_BITS, mod_inverse
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
@@ -427,3 +429,55 @@ def test_invalid_private_values_fail_both_entry_points(toy_params, change, error
         keypair_from_values(toy_params, **values, base_rows=kat.TOY_BASE)
     with pytest.raises(MalformedEncoding):
         kem.deserialize_sk(_toy_sk_bytes(toy_params, **values), toy_params)
+
+
+# -- a key inverts its units only when it first decrypts
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """(value, modulus) of every mod_inverse call, through any hppk module."""
+    calls = []
+
+    def counted(a, m):
+        calls.append((a, m))
+        return mod_inverse(a, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hppk" and getattr(module, "mod_inverse", None) is mod_inverse:
+            monkeypatch.setattr(module, "mod_inverse", counted)
+    return calls
+
+
+def test_keys_are_built_and_parsed_without_inverting(toy_params, inversions):
+    params = PARAMETER_SETS["level1-nb1"]
+    sk, pk = keygen(params, DeterministicStream(b"no-inverse"))
+    parsed = kem.deserialize_sk(kem.serialize_sk(sk, params), params)
+    assert parsed == sk
+    kem.deserialize_pk(kem.serialize_pk(pk, params), params)
+    keypair_from_values(toy_params, **TOY_PRIVATE, base_rows=kat.TOY_BASE)
+    kat.record_from_seed("level1-nb1", 0, bytes(kat.SEED_BYTES))
+    assert inversions == []
+    suite = kat.generate_suite(b"no-inverse", per_profile=1, profiles=("level1-nb1",))
+    assert len(suite) == 2
+    # only the fixture record decrypts: the toy key's two units, then mod p
+    assert [m for _, m in inversions if m != toy_params.prime] == [6798, 6798]
+
+
+def test_first_decaps_inverts_each_unit_once(inversions):
+    params = PARAMETER_SETS["level1-nb1"]
+    rng = DeterministicStream(b"first-decaps")
+    sk, pk = keygen(params, rng)
+    sk = kem.deserialize_sk(kem.serialize_sk(sk, params), params)
+    ct, ss = kem.encaps(pk, params, rng)
+    assert kem.decaps(sk, params, ct) == ss
+    assert sorted(c for c in inversions if c[1] == sk.modulus) == sorted(
+        [(sk.r1, sk.modulus), (sk.r2, sk.modulus)]
+    )
+    inversions.clear()
+    ct, ss = kem.encaps(pk, params, rng)
+    assert kem.decaps(sk, params, ct) == ss
+    assert [c for c in inversions if c[1] == sk.modulus] == []
+    assert sk.modulus.bit_length() == 136
+    assert sk.key1.mult_inv == pow(sk.r1, -1, sk.modulus)
+    assert sk.key2.mult_inv == pow(sk.r2, -1, sk.modulus)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hppk.rng import DeterministicStream, StubRng, SystemRng
@@ -15,6 +17,57 @@ def test_stream_chunking_is_irrelevant():
     a = DeterministicStream(b"seed")
     b = DeterministicStream(b"seed")
     assert a.take_bytes(10) + a.take_bytes(54) + a.take_bytes(3) == b.take_bytes(67)
+
+
+def _definition_bytes(seed, n):
+    """The first n bytes of the stream, straight from its definition."""
+    out = b"".join(
+        hashlib.shake_256(seed + i.to_bytes(8, "little")).digest(64)
+        for i in range(n // 64 + 1)
+    )
+    return out[:n]
+
+
+def test_stream_matches_its_definition():
+    seed = b"definition"
+    expected = _definition_bytes(seed, 512)
+    pos = 0
+
+    def next_bytes(n):
+        nonlocal pos
+        pos += n
+        return expected[pos - n : pos]
+
+    rng = DeterministicStream(seed)
+    assert rng.take_bytes(0) == b""
+    assert rng.take_bytes(3) == next_bytes(3)
+    assert rng.take_bytes(70) == next_bytes(70)  # bytes 3..72 straddle block 0/1
+    for k in (1, 13, 135):
+        raw = next_bytes((k + 7) // 8)
+        assert rng.bits(k) == int.from_bytes(raw, "little") & ((1 << k) - 1)
+    assert rng.take_bytes(30) == next_bytes(30)
+    assert pos < 128 < pos + 17  # the next bits(135) straddles block 1/2
+    assert rng.bits(135) == int.from_bytes(next_bytes(17), "little") & ((1 << 135) - 1)
+    rejections = 0
+    for _ in range(16):
+        draw = next_bytes(1)[0]
+        while draw >= 129:  # below(129) draws 8 bits and rejects 129..255
+            rejections += 1
+            draw = next_bytes(1)[0]
+        assert rng.below(129) == draw
+    assert rejections > 0
+    assert rng.take_bytes(64) == next_bytes(64)
+
+
+def test_take_bytes_rejects_negative_counts():
+    a = DeterministicStream(b"negative")
+    b = DeterministicStream(b"negative")
+    assert a.take_bytes(3) == b.take_bytes(3)
+    with pytest.raises(ValueError):
+        a.take_bytes(-1)
+    assert a.take_bytes(64) == b.take_bytes(64)  # the rejected call read nothing
+    with pytest.raises(ValueError):
+        SystemRng().take_bytes(-1)
 
 
 def test_different_seeds_differ():
