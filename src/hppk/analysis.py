@@ -17,7 +17,6 @@ enumerating solutions all go through it.
 """
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from functools import cache
 from operator import mul
@@ -245,10 +244,9 @@ def reduce_to_single(sys):
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Exhaustive enumeration result; every member satisfies the source."""
+    """Exhaustive enumeration result; every member satisfies the system."""
 
-    source: object = field(compare=False)
-    solutions: tuple = ()
+    solutions: tuple
 
     @property
     def count(self):
@@ -269,12 +267,11 @@ def brute_force_solutions(target):
     if p ** (1 + m) > _BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{p}**{1 + m} assignments exceed the guard")
     return SolutionSet(
-        target,
         tuple(
             (x, *noise)
             for x in range(p)
             for noise in _noise_solutions(target.forms(x), p, m)
-        ),
+        )
     )
 
 
@@ -310,14 +307,13 @@ class IndCpaChallenge:
     """What the adversary sees in one round of the game.
 
     public_coeffs is the instance polynomial H (the normalized public
-    key); challenge_coeffs is H scaled by the inverse of its evaluation
-    at the hidden message and noise; evaluation is that value itself,
-    which is derivable from the two tables and included for convenience.
+    key); evaluation is its value at the hidden message and noise.  The
+    normalized challenge, H scaled by the inverse of evaluation, follows
+    from the two.
     """
 
     prime: int
     public_coeffs: tuple
-    challenge_coeffs: tuple
     evaluation: int
 
     @property
@@ -331,7 +327,7 @@ def ind_cpa_game(params, adversary, trials, rng):
     Each round draws a fresh instance polynomial in the message variable
     and noise_vars - 1 noise variables, two distinct candidate messages,
     a hidden bit, and noise; the adversary receives both messages and the
-    normalized challenge and guesses the bit.  Returns
+    challenge and guesses the bit.  Returns
     |win_rate - 1/2|.
     """
     if params.noise_vars < 2:
@@ -358,13 +354,9 @@ def ind_cpa_game(params, adversary, trials, rng):
         while evaluation == 0:
             noise = [rng.below(p) for _ in range(m)]
             evaluation = _dot(cols, noise, p)
-        scale = mod_inverse(evaluation, p)
         challenge = IndCpaChallenge(
             prime=p,
             public_coeffs=tuple(tuple(row) for row in table),
-            challenge_coeffs=tuple(
-                tuple(c * scale % p for c in row) for row in table
-            ),
             evaluation=evaluation,
         )
         guess = adversary(m0, m1, challenge)
@@ -541,7 +533,6 @@ class RingCandidate:
 class RingSearchResult:
     candidates: tuple
     work: int
-    elapsed: float
 
     @property
     def total_triples(self):
@@ -651,7 +642,6 @@ def ring_key_search(pk, params, s_bits):
         raise ValueError(
             f"ring search needs more than the prime's {params.prime_bits} bits"
         )
-    start = time.perf_counter()
     p = params.prime
     if params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME:
         accepts = _table_accepts
@@ -689,8 +679,4 @@ def ring_key_search(pk, params, s_bits):
         both = chunk[hit].tolist()
         options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
         found += map(RingCandidate, both, options1, options2)
-    return RingSearchResult(
-        candidates=tuple(found),
-        work=work,
-        elapsed=time.perf_counter() - start,
-    )
+    return RingSearchResult(candidates=tuple(found), work=work)

@@ -213,6 +213,18 @@ def _sample_factor(prime, degree, rng):
     return coeffs
 
 
+def _sample_base(params, rng):
+    return [
+        [rng.below(params.prime) for _ in range(params.noise_vars)]
+        for _ in range(params.base_degree + 1)
+    ]
+
+
+def _zero_mod(rows, prime):
+    """True when every entry of the matrix is 0 mod prime."""
+    return not any(c % prime for row in rows for c in row)
+
+
 def _assemble(params, sk, base_rows):
     """Build both products b*f1, b*f2 and mask each under its own key."""
     p = params.prime
@@ -245,11 +257,16 @@ def private_key(params, modulus, r1, r2, f1, f2):
 
 
 def keypair_from_values(params, modulus, r1, r2, f1, f2, base_rows):
-    """Assemble a key pair from explicit private values (fixtures, KATs)."""
+    """Assemble a key pair from explicit private values (fixtures, KATs).
+
+    Raises ValueError for a base matrix of the wrong shape or zero mod p.
+    """
     if len(base_rows) != params.base_degree + 1 or any(
         len(row) != params.noise_vars for row in base_rows
     ):
         raise ValueError("base matrix shape does not match the parameter set")
+    if _zero_mod(base_rows, params.prime):
+        raise ValueError("base matrix is zero mod p")
     return _assemble(params, private_key(params, modulus, r1, r2, f1, f2), base_rows)
 
 
@@ -259,9 +276,10 @@ def sample_keypair(params, ring_bits, rng):
     Draw order is fixed (it is the seeded-KAT contract): ring modulus,
     r1, r2, f1 coefficients ascending, f2 likewise, then the base matrix
     row-major.  Constraints are enforced by resampling: multipliers must
-    be units, leading factor coefficients nonzero, and f2 is redrawn
-    whole while proportional to f1.  The base matrix is discarded after
-    the products are built.
+    be units, leading factor coefficients nonzero, f2 is redrawn whole
+    while proportional to f1, and the base matrix is redrawn whole while
+    it is zero mod p (its key would publish zero maps).  The base matrix
+    is discarded after the products are built.
     """
     p = params.prime
     ring = fhe.ring_gen(ring_bits, rng)
@@ -271,10 +289,9 @@ def sample_keypair(params, ring_bits, rng):
     f2 = _sample_factor(p, params.factor_degree, rng)
     while _proportional(f1, f2, p):
         f2 = _sample_factor(p, params.factor_degree, rng)
-    base_rows = [
-        [rng.below(p) for _ in range(params.noise_vars)]
-        for _ in range(params.base_degree + 1)
-    ]
+    base_rows = _sample_base(params, rng)
+    while _zero_mod(base_rows, p):
+        base_rows = _sample_base(params, rng)
     return _assemble(params, PrivateKey(key1, key2, tuple(f1), tuple(f2)), base_rows)
 
 

@@ -171,139 +171,95 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
-# -- attack oracles; each runner imports `analysis`, and with it numpy, itself,
-# so that no other command pays for loading them
+# -- attack oracles; `_cmd_attack` imports `analysis`, and with it numpy, itself,
+# so that no other command pays for loading them.  Each oracle runs one
+# instance and returns (its assertion held, its CSV fields).
 
 
-def _tiny_params(args):
-    return ParameterSet(
-        prime=args.prime,
-        base_degree=args.nb,
-        factor_degree=1,
-        noise_vars=args.noise,
-        label=f"attack-p{args.prime}-m{args.noise}",
-    )
+def _bruteforce(analysis, args, params, rng, instance):
+    if instance == 0 and args.prime == 13 and args.noise == 2 and args.nb == 1:
+        # the hand-checkable toy vector
+        _, pk, block = kat.toy_instance()
+        system = analysis.reduce_mod_p(pk, block, params.prime)
+        witness = (kat.TOY_SECRET, *kat.TOY_NOISE)
+    else:
+        system, witness = analysis.random_planted_system(params, rng)
+    solutions = analysis.brute_force_solutions(system)
+    found = witness in solutions
+    return found, [solutions.count, ":".join(str(v) for v in witness), found]
 
 
-def _attack_bruteforce(args, emit):
-    from . import analysis
-
-    params = _tiny_params(args)
-    rng = _rng_from(args.seed)
-    ok = True
-    for instance in range(args.instances):
-        start = time.perf_counter()
-        if instance == 0 and args.prime == 13 and args.noise == 2 and args.nb == 1:
-            # the hand-checkable toy vector
-            _, pk, block = kat.toy_instance()
-            system = analysis.reduce_mod_p(pk, block, PARAMETER_SETS["toy"].prime)
-            witness = (kat.TOY_SECRET, *kat.TOY_NOISE)
-        else:
-            system, witness = analysis.random_planted_system(params, rng)
-        solutions = analysis.brute_force_solutions(system)
-        found = witness in solutions
-        ok &= found
-        emit([
-            instance, args.prime, args.noise, solutions.count,
-            ":".join(str(v) for v in witness), found,
-            f"{time.perf_counter() - start:.4f}",
-        ])
-    return ok
-
-
-def _attack_indcpa(args, emit):
-    from . import analysis
-
-    params = _tiny_params(args)
-    rng = _rng_from(args.seed)
+def _indcpa(analysis, args, params, rng, instance):
     adversary = {
         "random": analysis.RandomGuessAdversary(rng),
         "constant0": analysis.ConstantAdversary(0),
         "likelihood": analysis.ExhaustiveLikelihoodAdversary(rng),
     }[args.adversary]
-    start = time.perf_counter()
     advantage = analysis.ind_cpa_game(params, adversary, args.trials, rng)
-    emit([
-        0, args.prime, args.noise, args.trials, f"{advantage:.6f}",
-        f"{time.perf_counter() - start:.4f}",
-    ])
-    if args.adversary in ("random", "constant0"):
-        return advantage < 0.02
-    return 0.0 <= advantage <= 0.5
+    if args.adversary == "likelihood":
+        held = 0.0 <= advantage <= 0.5
+    else:
+        held = advantage < 0.02
+    return held, [args.trials, f"{advantage:.6f}"]
 
 
-def _attack_ringsearch(args, emit):
-    from . import analysis
-
-    params = _tiny_params(args)
-    rng = _rng_from(args.seed)
-    ok = True
-    for instance in range(args.instances):
-        sk, pk = analysis.random_ring_instance(params, args.sbits, rng)
-        result = analysis.ring_key_search(pk, params, args.sbits)
-        found = result.contains(sk.modulus, sk.r1, sk.r2)
-        ok &= found
-        emit([
-            instance, args.prime, args.noise, result.total_triples,
-            result.work, found, f"{result.elapsed:.4f}",
-        ])
-    return ok
+def _ringsearch(analysis, args, params, rng, instance):
+    sk, pk = analysis.random_ring_instance(params, args.sbits, rng)
+    result = analysis.ring_key_search(pk, params, args.sbits)
+    found = result.contains(sk.modulus, sk.r1, sk.r2)
+    return found, [result.total_triples, result.work, found]
 
 
-def _attack_fratio(args, emit):
-    from . import analysis
-
-    params = _tiny_params(args)
-    rng = _rng_from(args.seed)
+def _fratio(analysis, args, params, rng, instance):
     p = params.prime
-    ok = True
-    for instance in range(args.instances):
-        start = time.perf_counter()
-        sk, pk = keygen(params, rng)
-        plain1 = fhe.decrypt_coeffs(sk.key1, pk.p1, p)
-        plain2 = fhe.decrypt_coeffs(sk.key2, pk.p2, p)
-        set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
-        found = (
-            analysis.true_ratio(sk.f1, p) in set1
-            and analysis.true_ratio(sk.f2, p) in set2
-        )
-        ok &= found
-        emit([
-            instance, args.prime, args.noise, len(set1) + len(set2), found,
-            f"{time.perf_counter() - start:.4f}",
-        ])
-    return ok
+    sk, pk = keygen(params, rng)
+    plain1 = fhe.decrypt_coeffs(sk.key1, pk.p1, p)
+    plain2 = fhe.decrypt_coeffs(sk.key2, pk.p2, p)
+    set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
+    found = (
+        analysis.true_ratio(sk.f1, p) in set1
+        and analysis.true_ratio(sk.f2, p) in set2
+    )
+    return found, [len(set1) + len(set2), found]
 
 
-_ATTACK_HEADERS = {
-    "bruteforce": ["instance", "p", "m", "count", "witness", "witness_found", "elapsed"],
-    "indcpa": ["instance", "p", "m", "trials", "advantage", "elapsed"],
-    "ringsearch": ["instance", "p", "m", "candidates", "work", "key_found", "elapsed"],
-    "fratio": ["instance", "p", "m", "candidates", "ratio_found", "elapsed"],
-}
-
-_ATTACK_RUNNERS = {
-    "bruteforce": _attack_bruteforce,
-    "indcpa": _attack_indcpa,
-    "ringsearch": _attack_ringsearch,
-    "fratio": _attack_fratio,
+# oracle name -> (per-instance function, its CSV fields)
+_ORACLES = {
+    "bruteforce": (_bruteforce, ["count", "witness", "witness_found"]),
+    "indcpa": (_indcpa, ["trials", "advantage"]),
+    "ringsearch": (_ringsearch, ["candidates", "work", "key_found"]),
+    "fratio": (_fratio, ["candidates", "ratio_found"]),
 }
 
 
 def _cmd_attack(args):
     _at_least_one(args.instances, "--instances")
+    from . import analysis
+
+    oracle, fields = _ORACLES[args.oracle]
+    # indcpa plays one game of --trials rounds, whatever --instances says
+    instances = 1 if args.oracle == "indcpa" else args.instances
     writer = csv.writer(sys.stdout)
-    header = [_ATTACK_HEADERS[args.oracle]]
-
-    def emit(row):
-        # the header goes out with the first row, so that an argument the
-        # runner rejects before its first row leaves stdout empty
-        writer.writerows(header)
-        header.clear()
-        writer.writerow(row)
-
+    ok = True
     try:
-        ok = _ATTACK_RUNNERS[args.oracle](args, emit)
+        params = ParameterSet(
+            prime=args.prime,
+            base_degree=args.nb,
+            factor_degree=1,
+            noise_vars=args.noise,
+            label=f"attack-p{args.prime}-m{args.noise}",
+        )
+        rng = _rng_from(args.seed)
+        for instance in range(instances):
+            start = time.perf_counter()
+            held, row = oracle(analysis, args, params, rng, instance)
+            elapsed = time.perf_counter() - start
+            if instance == 0:
+                # the header goes out with the first row, so that an argument
+                # the oracle rejects before its first row leaves stdout empty
+                writer.writerow(["instance", "p", "m", *fields, "elapsed"])
+            writer.writerow([instance, args.prime, args.noise, *row, f"{elapsed:.4f}"])
+            ok &= held
     except (SearchSpaceTooLarge, CapacityExceeded, ValueError) as err:
         # every library rejection here traces back to an argument
         raise UsageError(str(err)) from err
@@ -357,13 +313,15 @@ def build_parser():
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("attack", help="run a desk-scale attack oracle")
-    p.add_argument("--oracle", required=True, choices=tuple(_ATTACK_RUNNERS))
+    p.add_argument("--oracle", required=True, choices=tuple(_ORACLES))
     p.add_argument("--prime", type=int, default=13)
     p.add_argument("--noise", type=int, default=2, help="noise variable count")
     p.add_argument("--nb", type=int, default=1, help="base polynomial order")
     p.add_argument("--sbits", type=int, default=10, help="ring bits for ringsearch")
     p.add_argument("--trials", type=int, default=10000, help="game trials for indcpa")
-    p.add_argument("--instances", type=int, default=5)
+    p.add_argument("--instances", type=int, default=5,
+                   help="instances to run, one CSV row each, timed with their "
+                        "sampling; indcpa plays one game and prints one row")
     p.add_argument("--adversary", default="random",
                    choices=("random", "constant0", "likelihood"))
     p.add_argument("--seed", help="hex seed for reproducible oracle runs")

@@ -23,10 +23,9 @@ from .errors import CapacityExceeded, DegenerateEquation, NotCoprime
 WIDE_BITS = 256
 WIDE_MAX = (1 << WIDE_BITS) - 1
 
-# Integers below 2**64 are proven prime/composite by Miller-Rabin with
-# this fixed witness set (sufficient for all n < 3.3 * 10**24).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# The first twelve primes serve twice: as trial divisors, which also keep
+# every Miller-Rabin witness below n, and as the witness set, which proves
+# primality for all n < 3.3 * 10**24 and so for every integer below 2**64.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -89,7 +88,7 @@ def is_prime_64(n):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

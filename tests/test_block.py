@@ -73,6 +73,13 @@ def test_keygen_redraws_zero_leading_coefficient(toy_params):
     assert sk.f1 == (4, 9)
 
 
+def test_keygen_redraws_zero_base_matrix(toy_params):
+    # a zero base would publish two zero maps that no block decrypts under
+    draws = [6798 - 4096, 4267, 6475, 4, 9, 10, 7, 0, 0, 0, 0, 8, 5, 7, 11]
+    _, pk = keygen(toy_params, StubRng(draws))
+    assert (pk.p1, pk.p2) == (TOY_P1, TOY_P2)
+
+
 def test_monomial_table_toy(toy_params):
     assert monomial_table(toy_params, 8, (3, 6)) == [
         [3, 6], [11, 9], [10, 7]
@@ -351,3 +358,9 @@ def test_degree2_garbage_has_no_valid_root():
 def test_keypair_from_values_rejects_proportional(toy_params):
     with pytest.raises(ValueError):
         keypair_from_values(toy_params, 6798, 4267, 6475, (4, 9), (8, 5), TOY_B)
+
+
+@pytest.mark.parametrize("base", [((0, 0), (0, 0)), ((13, 0), (0, 26))])
+def test_keypair_from_values_rejects_zero_base(toy_params, base):
+    with pytest.raises(ValueError, match="zero mod p"):
+        keypair_from_values(toy_params, 6798, 4267, 6475, (4, 9), (10, 7), base)

@@ -256,6 +256,66 @@ def test_attack_fratio(capsys):
     assert all(row[4] == "True" for row in rows[1:])
 
 
+# Rows of each oracle at fixed seeds, without the wall-time column; they
+# pin the draws, the fields and the verdict of every oracle.
+RECORDED_ATTACK_ROWS = {
+    "bruteforce-toy": (
+        ("--oracle", "bruteforce", "--seed", "4444", "--instances", "3"),
+        [["instance", "p", "m", "count", "witness", "witness_found"],
+         ["0", "13", "2", "11", "8:3:6", "True"],
+         ["1", "13", "2", "13", "9:7:5", "True"],
+         ["2", "13", "2", "25", "1:11:2", "True"]],
+    ),
+    "ringsearch-nb2": (
+        ("--oracle", "ringsearch", "--nb", "2", "--sbits", "7",
+         "--instances", "2", "--seed", "6666"),
+        [["instance", "p", "m", "candidates", "work", "key_found"],
+         ["0", "13", "2", "19305", "7064", "True"],
+         ["1", "13", "2", "7254", "2564", "True"]],
+    ),
+    "fratio-nb2": (
+        ("--oracle", "fratio", "--nb", "2", "--prime", "251",
+         "--instances", "3", "--seed", "7777"),
+        [["instance", "p", "m", "candidates", "ratio_found"],
+         ["0", "251", "2", "2", "True"],
+         ["1", "251", "2", "2", "True"],
+         ["2", "251", "2", "2", "True"]],
+    ),
+    "indcpa-likelihood": (
+        ("--oracle", "indcpa", "--adversary", "likelihood", "--noise", "3",
+         "--trials", "200", "--seed", "5555"),
+        [["instance", "p", "m", "trials", "advantage"],
+         ["0", "13", "3", "200", "0.035000"]],
+    ),
+    "indcpa-constant0": (
+        ("--oracle", "indcpa", "--adversary", "constant0", "--trials", "300",
+         "--seed", "5555"),
+        [["instance", "p", "m", "trials", "advantage"],
+         ["0", "13", "2", "300", "0.006667"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_ATTACK_ROWS)
+def test_attack_csv_matches_recorded_rows(capsys, name):
+    argv, expected = RECORDED_ATTACK_ROWS[name]
+    code, out, err = _run(capsys, "attack", *argv)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(row[-1] == "elapsed" or float(row[-1]) >= 0 for row in rows)
+    assert [row[:-1] for row in rows] == expected
+
+
+def test_attack_fratio_small_prime_draws_no_zero_map(capsys):
+    # at p = 3 one key in 81 has a zero base matrix; seed 07 draws one second
+    code, out, err = _run(capsys, "attack", "--oracle", "fratio", "--prime", "3",
+                          "--instances", "10", "--seed", "07")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 11
+    assert all(row[4] == "True" for row in rows[1:])
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 1

@@ -1,7 +1,8 @@
-"""Every name a test module imports is used in that module.
+"""Every name a test or package module imports is used in that module.
 
+A name listed in the module's `__all__` counts as used, as a re-export.
 An import is exempt when its line carries `# noqa: F401`, as it does
-for imports kept for their side effect.
+for imports kept for their side effect or for outside callers.
 """
 
 import ast
@@ -10,6 +11,9 @@ from pathlib import Path
 import pytest
 
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+PACKAGE_FILES = sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "hppk").glob("*.py")
+)
 
 
 def unused_imports(source):
@@ -25,6 +29,11 @@ def unused_imports(source):
                 bound = alias.asname or alias.name.split(".")[0]
                 imported.append((alias.lineno, bound))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
     return [
         (line, name) for line, name in imported
         if name not in used and "# noqa: F401" not in lines[line - 1]
@@ -33,6 +42,11 @@ def unused_imports(source):
 
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
 def test_test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_package_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
 
@@ -46,6 +60,8 @@ def test_unused_import_scan():
         "    lcm,\n"
         ")\n"
         "from x import y as z\n"
+        "from .m import exported, hidden\n"
+        "__all__ = ['exported']\n"
         "print(os, lcm(2, 3), z)\n"
     )
-    assert unused_imports(source) == [(5, "gcd")]
+    assert unused_imports(source) == [(5, "gcd"), (9, "hidden")]
