@@ -30,7 +30,7 @@ from .kem import (
     serialize_sk,
 )
 from .params import PARAMETER_SETS, ParameterSet, by_level
-from .rng import DeterministicStream, StubRng, SystemRng
+from .rng import DeterministicStream, SystemRng
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "ParameterSet",
     "PrivateKey",
     "PublicKey",
-    "StubRng",
     "SystemRng",
     "by_level",
     "decaps",

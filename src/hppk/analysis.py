@@ -275,6 +275,11 @@ def brute_force_solutions(target):
     )
 
 
+def _rows(flat, width):
+    """A row-major draw split into rows of the given width."""
+    return tuple(tuple(flat[i : i + width]) for i in range(0, len(flat), width))
+
+
 def random_planted_system(params, rng):
     """A random system of the profile's shape with a planted witness.
 
@@ -286,14 +291,10 @@ def random_planted_system(params, rng):
     p = params.prime
     rows = params.message_degree + 1
     m = params.noise_vars
-    coeffs1 = tuple(
-        tuple(rng.below(p) for _ in range(m)) for _ in range(rows)
-    )
-    coeffs2 = tuple(
-        tuple(rng.below(p) for _ in range(m)) for _ in range(rows)
-    )
-    x = rng.below(p)
-    noise = tuple(rng.below(p) for _ in range(m))
+    size = rows * m
+    draws = rng.below_many(p, 2 * size + 1 + m)
+    coeffs1, coeffs2 = _rows(draws[:size], m), _rows(draws[size : 2 * size], m)
+    x, *noise = draws[2 * size :]
     rhs1, rhs2 = (_dot(column_values(c, x, p), noise, p) for c in (coeffs1, coeffs2))
     sys = ModPSystem(p, coeffs1, rhs1, coeffs2, rhs2)
     return sys, (x, *noise)
@@ -340,9 +341,8 @@ def ind_cpa_game(params, adversary, trials, rng):
     wins = 0
     done = 0
     while done < trials:
-        table = [[rng.below(p) for _ in range(m)] for _ in range(rows)]
-        m0 = rng.below(p)
-        m1 = rng.below(p)
+        *flat, m0, m1 = rng.below_many(p, rows * m + 2)
+        table = _rows(flat, m)
         while m1 == m0:
             m1 = rng.below(p)
         hidden = rng.bits(1)
@@ -352,11 +352,11 @@ def ind_cpa_game(params, adversary, trials, rng):
             continue  # evaluation identically zero; redraw the instance
         evaluation = 0
         while evaluation == 0:
-            noise = [rng.below(p) for _ in range(m)]
+            noise = rng.below_many(p, m)
             evaluation = _dot(cols, noise, p)
         challenge = IndCpaChallenge(
             prime=p,
-            public_coeffs=tuple(tuple(row) for row in table),
+            public_coeffs=table,
             evaluation=evaluation,
         )
         guess = adversary(m0, m1, challenge)

@@ -207,17 +207,16 @@ def _proportional(f1, f2, prime):
 
 
 def _sample_factor(prime, degree, rng):
-    coeffs = [rng.below(prime) for _ in range(degree + 1)]
+    coeffs = rng.below_many(prime, degree + 1)
     while coeffs[-1] == 0:
         coeffs[-1] = rng.below(prime)
     return coeffs
 
 
 def _sample_base(params, rng):
-    return [
-        [rng.below(params.prime) for _ in range(params.noise_vars)]
-        for _ in range(params.base_degree + 1)
-    ]
+    m = params.noise_vars
+    flat = rng.below_many(params.prime, (params.base_degree + 1) * m)
+    return [flat[i : i + m] for i in range(0, len(flat), m)]
 
 
 def _zero_mod(rows, prime):

@@ -52,24 +52,29 @@ class KemCiphertext:
             raise ValueError("at least one block required")
 
 
-def _sample_noise(params, rng):
-    while True:
-        noise = [rng.below(params.prime) for _ in range(params.noise_vars)]
-        if any(noise):
-            return noise
+def _sample_block(params, rng):
+    """(encrypted value, noise vector, carried payload) for one block.
 
-
-def _sample_block_secret(params, rng):
-    """Returns (encrypted value, carried payload) for one block."""
+    A degree-1 block draws its value and noise in one vector; a degree-2
+    block draws a payload until it formats, then its noise.  The noise
+    vector is redrawn whole while it is all zero.
+    """
+    p, m = params.prime, params.noise_vars
     if params.factor_degree == 1:
-        x = rng.below(params.prime)
-        return x, x
-    while True:
-        payload = rng.bits(params.payload_bits)
-        try:
-            return format_plaintext(payload, params), payload
-        except PayloadTooLarge:
-            continue
+        x, *noise = rng.below_many(p, 1 + m)
+        payload = x
+    else:
+        while True:
+            payload = rng.bits(params.payload_bits)
+            try:
+                x = format_plaintext(payload, params)
+                break
+            except PayloadTooLarge:
+                continue
+        noise = rng.below_many(p, m)
+    while not any(noise):
+        noise = rng.below_many(p, m)
+    return x, noise, payload
 
 
 def _pack_payloads(payloads, params):
@@ -92,8 +97,7 @@ def encaps(pk, params, rng):
     blocks = []
     payloads = []
     for _ in range(params.block_count):
-        x, payload = _sample_block_secret(params, rng)
-        noise = _sample_noise(params, rng)
+        x, noise, payload = _sample_block(params, rng)
         blocks.append(encrypt_block(pk, params, x, noise))
         payloads.append(payload)
     return KemCiphertext(tuple(blocks)), _pack_payloads(payloads, params)

@@ -1,24 +1,39 @@
 """Randomness sources.
 
-Every sampling operation in this package draws from an object with three
+Every sampling operation in this package draws from an object with four
 methods:
 
-  take_bytes(n) -> bytes   next n >= 0 bytes of the stream
-  bits(k)       -> int     next k bits: ceil(k/8) bytes read little-endian,
-                           masked to the low k bits
-  below(n)      -> int     uniform in [0, n): rejection sampling on
-                           bits((n-1).bit_length()) draws; below(1) reads
-                           nothing and returns 0
+  take_bytes(n)       -> bytes  next n >= 0 bytes of the stream
+  bits(k)             -> int    next k bits: ceil(k/8) bytes read
+                                little-endian, masked to the low k bits
+  below(n)            -> int    uniform in [0, n): rejection sampling on
+                                bits((n-1).bit_length()) draws; below(1)
+                                reads nothing and returns 0
+  below_many(n, count) -> list  exactly the values of count below(n)
+                                calls, from exactly the same bytes
+
+below_many reads the stream in passes, one take_bytes call per pass.  A
+pass reads one chunk per value still missing, so it never reads past the
+chunk that below would stop at, and a rejected chunk is followed by the
+same read that below would make.  Both sources share bits, below and
+below_many and differ only in take_bytes.
 
 The deterministic stream is SHAKE256 in 64-byte counter mode:
 block i = shake_256(seed || i as 8-byte little-endian).digest(64).  The
 stream identity string "shake256-ctr" is recorded in KAT file headers;
 together with the rules above it makes seeded key generation and
 encapsulation reproducible byte-for-byte in any implementation.
+SHAKE256 comes from CPython's built-in _sha3 module, which hashlib
+itself falls back to, so importing this package maps no OpenSSL.
+SystemRng is os.urandom behind the same sampler.
 """
 
-import hashlib
-import secrets
+import os
+
+try:
+    from _sha3 import shake_256
+except ImportError:  # a build without CPython's built-in SHA-3
+    from hashlib import shake_256
 
 GENERATOR_ID = "shake256-ctr"
 
@@ -26,7 +41,7 @@ _BLOCK_BYTES = 64
 
 
 class _ByteSource:
-    """bits() over take_bytes(), shared by the byte-backed sources."""
+    """The samplers over take_bytes(), shared by both sources."""
 
     def bits(self, k):
         if k <= 0:
@@ -34,6 +49,35 @@ class _ByteSource:
         nbytes = (k + 7) // 8
         v = int.from_bytes(self.take_bytes(nbytes), "little")
         return v & ((1 << k) - 1)
+
+    def below(self, n):
+        if n <= 0:
+            raise ValueError("n must be positive")
+        if n == 1:
+            return 0
+        k = (n - 1).bit_length()
+        while True:
+            v = self.bits(k)
+            if v < n:
+                return v
+
+    def below_many(self, n, count):
+        if n <= 0:
+            raise ValueError("n must be positive")
+        if n == 1:
+            return [0] * count
+        k = (n - 1).bit_length()
+        width = (k + 7) // 8
+        mask = (1 << k) - 1
+        out = []
+        while len(out) < count:
+            buf = self.take_bytes((count - len(out)) * width)
+            draws = [
+                int.from_bytes(buf[i : i + width], "little") & mask
+                for i in range(0, len(buf), width)
+            ]
+            out += [v for v in draws if v < n]
+        return out
 
 
 class DeterministicStream(_ByteSource):
@@ -50,7 +94,7 @@ class DeterministicStream(_ByteSource):
         if n < 0:
             raise ValueError("n must be non-negative")
         while len(self._buf) < n:
-            block = hashlib.shake_256(
+            block = shake_256(
                 self._seed + self._counter.to_bytes(8, "little")
             ).digest(_BLOCK_BYTES)
             self._counter += 1
@@ -58,50 +102,8 @@ class DeterministicStream(_ByteSource):
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
-    def below(self, n):
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if n == 1:
-            return 0
-        k = (n - 1).bit_length()
-        while True:
-            v = self.bits(k)
-            if v < n:
-                return v
-
 
 class SystemRng(_ByteSource):
     """Operating-system randomness behind the same interface."""
 
-    def take_bytes(self, n):
-        return secrets.token_bytes(n)
-
-    def below(self, n):
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return secrets.randbelow(n)
-
-
-class StubRng:
-    """Replays a fixed sequence of integers; for tests and fixtures.
-
-    Each bits()/below() call pops the next queued value verbatim, so a
-    queue can steer rejection-sampling loops one draw at a time.
-    """
-
-    def __init__(self, values):
-        self._queue = list(values)
-
-    def take_bytes(self, n):
-        raise NotImplementedError("StubRng replays integers, not raw bytes")
-
-    def _pop(self):
-        if not self._queue:
-            raise IndexError("stub randomness exhausted")
-        return self._queue.pop(0)
-
-    def bits(self, k):
-        return self._pop()
-
-    def below(self, n):
-        return self._pop()
+    take_bytes = staticmethod(os.urandom)

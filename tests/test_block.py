@@ -19,7 +19,9 @@ from hppk.block import (
 from hppk.errors import AllZeroNoise, NoValidRoot, ZeroDenominator
 from hppk.modmath import mod_inverse
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
-from hppk.rng import DeterministicStream, StubRng
+from hppk.rng import DeterministicStream
+
+from stub_rng import StubRng
 
 TOY_B = ((8, 5), (7, 11))
 

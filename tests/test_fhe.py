@@ -4,7 +4,9 @@ import pytest
 
 from hppk import fhe
 from hppk.errors import NotCoprime
-from hppk.rng import DeterministicStream, StubRng
+from hppk.rng import DeterministicStream
+
+from stub_rng import StubRng
 
 
 def _random_prime(rng, bits):

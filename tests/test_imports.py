@@ -3,9 +3,14 @@
 A name listed in the module's `__all__` counts as used, as a re-export.
 An import is exempt when its line carries `# noqa: F401`, as it does
 for imports kept for their side effect or for outside callers.
+
+Importing the package and its CLI loads no OpenSSL binding: SHAKE256
+comes from the built-in _sha3 module and SystemRng from os.urandom.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,17 @@ def test_unused_import_scan():
         "print(os, lcm(2, 3), z)\n"
     )
     assert unused_imports(source) == [(5, "gcd"), (9, "hidden")]
+
+
+def test_package_import_loads_no_openssl():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hppk, hppk.cli; "
+        "print(' '.join(m for m in ('_hashlib', 'hashlib', 'secrets') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == []

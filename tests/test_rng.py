@@ -2,7 +2,9 @@ import hashlib
 
 import pytest
 
-from hppk.rng import DeterministicStream, StubRng, SystemRng
+from hppk.rng import DeterministicStream, SystemRng
+
+from stub_rng import StubRng
 
 
 def test_stream_is_reproducible():
@@ -110,17 +112,52 @@ def test_below_is_plausibly_uniform():
         assert abs(c - n / 13) < 5 * (n / 13) ** 0.5
 
 
+def test_below_many_matches_below():
+    # 129 takes 8-bit draws and rejects 129..255, so passes repeat
+    moduli = (1, 2, 13, 129, (1 << 64) - 59, (1 << 135) + 12345)
+    for n in moduli:
+        for count in (0, 1, 5, 40):
+            seed = f"many-{n}-{count}".encode()
+            a = DeterministicStream(seed)
+            b = DeterministicStream(seed)
+            assert a.below_many(n, count) == [b.below(n) for _ in range(count)]
+            assert a.take_bytes(64) == b.take_bytes(64)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            DeterministicStream(b"many").below_many(n, 3)
+
+
+def test_below_many_reads_once_per_pass():
+    reads = []
+
+    class Counting(DeterministicStream):
+        def take_bytes(self, n):
+            reads.append(n)
+            return super().take_bytes(n)
+
+    # a 64-bit draw rejects with probability 59/2**64: one pass of 40 chunks
+    Counting(b"pass").below_many((1 << 64) - 59, 40)
+    assert reads == [320]
+
+
 def test_system_rng_ranges():
     rng = SystemRng()
     assert len(rng.take_bytes(16)) == 16
     assert 0 <= rng.bits(9) < 512
     assert 0 <= rng.below(97) < 97
+    draws = rng.below_many(129, 40)
+    assert len(draws) == 40 and all(0 <= v < 129 for v in draws)
+    assert rng.below_many(1, 3) == [0, 0, 0]
+    # one sampler serves both sources: SystemRng only supplies bytes
+    assert "below" not in vars(SystemRng)
+    assert "below_many" not in vars(SystemRng)
 
 
 def test_stub_replays_and_exhausts():
-    stub = StubRng([5, 7])
+    stub = StubRng([5, 7, 1, 2, 3])
     assert stub.below(100) == 5
     assert stub.bits(12) == 7
+    assert stub.below_many(100, 3) == [1, 2, 3]
     with pytest.raises(IndexError):
         stub.below(10)
     with pytest.raises(NotImplementedError):
