@@ -14,6 +14,12 @@ coefficients, right-hand side), a linear form in the noise built by
 column_values.  The two-congruence ModPSystem and its one-congruence
 ReducedNormalForm both expose it, and checking, extending and
 enumerating solutions all go through it.
+
+A factor f is named by its label, f / f[-1] without the leading 1.  A
+column c of a plain map accepts the monic factor g of degree e <=
+factor_degree when c's top factor_degree - e coefficients vanish and g
+divides the rest; ratio recovery, the scalar ring search and the ring
+search's label table all apply this one rule.
 """
 
 import itertools
@@ -25,7 +31,6 @@ import numpy as np
 
 from .block import build_plain_central_map, sample_keypair
 from .errors import (
-    DegenerateEquation,
     EliminationFailed,
     NoConsistentRatio,
     SearchSpaceTooLarge,
@@ -36,7 +41,8 @@ from .modmath import batch_inverse, mod_inverse, solve_quadratic
 _BRUTE_FORCE_GUARD = 1 << 26
 _LIKELIHOOD_GUARD = 1 << 20
 _RING_SEARCH_MAX_BITS = 14
-_RATIO_SCAN_GUARD = 1 << 14  # largest prime for exhaustive ratio scans
+# largest p**factor_degree for exhaustive label scans
+_RATIO_SCAN_GUARD = {1: 1 << 14, 2: 1 << 22}
 _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 _RING_SEARCH_CHUNK = 1 << 16  # (modulus, unit) pairs per numpy pass of the ring search
 
@@ -328,8 +334,7 @@ def ind_cpa_game(params, adversary, trials, rng):
     Each round draws a fresh instance polynomial in the message variable
     and noise_vars - 1 noise variables, two distinct candidate messages,
     a hidden bit, and noise; the adversary receives both messages and the
-    challenge and guesses the bit.  Returns
-    |win_rate - 1/2|.
+    challenge and guesses the bit.  Returns |win_rate - 1/2|.
     """
     if params.noise_vars < 2:
         raise ValueError("the game needs at least one noise variable")
@@ -354,13 +359,7 @@ def ind_cpa_game(params, adversary, trials, rng):
         while evaluation == 0:
             noise = rng.below_many(p, m)
             evaluation = _dot(cols, noise, p)
-        challenge = IndCpaChallenge(
-            prime=p,
-            public_coeffs=table,
-            evaluation=evaluation,
-        )
-        guess = adversary(m0, m1, challenge)
-        wins += 1 if guess == hidden else 0
+        wins += adversary(m0, m1, IndCpaChallenge(p, table, evaluation)) == hidden
         done += 1
     return abs(wins / trials - 0.5)
 
@@ -406,105 +405,112 @@ class ExhaustiveLikelihoodAdversary:
             cols = column_values(challenge.public_coeffs, candidate, p)
             form = (cols, challenge.evaluation)
             counts.append(sum(1 for _ in _noise_solutions((form,), p, m)))
-        if counts[0] > counts[1]:
-            return 0
-        if counts[1] > counts[0]:
-            return 1
+        if counts[0] != counts[1]:
+            return int(counts[1] > counts[0])
         return self._rng.bits(1)
+
+
+def likelihood_advantage(params):
+    """The advantage of ExhaustiveLikelihoodAdversary in ind_cpa_game.
+
+    With m = noise_vars - 1, a message whose column vector is nonzero
+    explains exactly p^(m-1) noise vectors, as the evaluation is nonzero.
+    The hidden message's vector is nonzero, so the guess is a coin flip
+    unless the other's is zero, which makes it right.  Over a uniform
+    table of two or more rows both vectors are independent and uniform,
+    so that happens with probability p^-m: the win rate is 1/2 + p^-m/2.
+    """
+    return params.prime ** -(params.noise_vars - 1) / 2
 
 
 # -- factor-ratio recovery from plain maps
 
 
-RATIO_INFINITE = (1, 0)  # projective marker: constant coefficient is zero
-
-
 def true_ratio(factor, prime):
-    """Projective ratio (f1 * f0^-1, 1) of a degree-1 factor, or (1, 0)."""
-    if factor[0] % prime == 0:
-        return RATIO_INFINITE
-    return (factor[1] * mod_inverse(factor[0], prime) % prime, 1)
+    """The label of a factor f: its monic form f / f[-1] without the leading 1.
+
+    Coefficients run from the constant up, and key generation keeps the
+    leading one nonzero: f0 + f1*t is labelled (f0/f1,).
+    """
+    lead = mod_inverse(factor[-1] % prime, prime)
+    return tuple(c * lead % prime for c in factor[:-1])
 
 
-def _ratio_consistent(column, u, v, base_degree, prime):
-    """Check one column against scaled factor coefficients (u, v) = (f1, f2)/f0."""
-    b_prev = b_prev2 = 0
-    for i, value in enumerate(column):
-        residual = (value - u * b_prev - v * b_prev2) % prime
-        if i <= base_degree:
-            b_prev2, b_prev = b_prev, residual
-        else:
-            if residual != 0:
-                return False
-            b_prev2, b_prev = b_prev, 0
-    return True
+def _divides(label, column, prime):
+    """Whether the monic polynomial named by a label of length 1 or 2 divides
+    column: t + a when column(-a) = 0 (Horner), t^2 + a1*t + a0 by division
+    from the top, whose remainder's t coefficient is checked first.
+    """
+    if len(label) == 1:
+        value = 0
+        for c in reversed(column):
+            value = value * -label[0] + c
+        return value % prime == 0
+    a0, a1 = label
+    b0 = b1 = 0  # quotient coefficients, from the top
+    for c in column[:1:-1]:
+        b0, b1 = c - a1 * b0 - a0 * b1, b0
+    remainder_t = column[1] - a1 * b0 - a0 * b1
+    return remainder_t % prime == 0 and (column[0] - a0 * b0) % prime == 0
 
 
-def _column_ratio_roots(column, base_degree, prime):
-    """All finite ratios consistent with one column (degree-1 factors)."""
-    if base_degree == 1:
-        # r^2 * p0 - r * p1 + p2 = 0
-        try:
-            return set(
-                solve_quadratic(column[0], -column[1] % prime, column[2], prime)
-            )
-        except DegenerateEquation:
-            return set()  # column is (0, 0, c) with c != 0: nothing fits
-    if prime > _RATIO_SCAN_GUARD:
-        raise SearchSpaceTooLarge("ratio scan needs a small prime")
-    return {
-        r
-        for r in range(prime)
-        if _ratio_consistent(column, r, 0, base_degree, prime)
-    }
+def _map_labels(columns, prime, base_degree, factor_degree):
+    """The labels every live column accepts, by the rule of recover_f_ratio.
 
-
-def _map_ratio_candidates(rows, prime, base_degree, factor_degree):
+    Degree-1 factors over a degree-1 base read their labels from the roots
+    of each column's quadratic, at any prime.  Every other shape scans the
+    labels, p <= 2**14 for degree-1 factors and p**2 <= 2**22 for degree 2.
+    """
     p = prime
-    nb = base_degree
-    columns = [[row[j] for row in rows] for j in range(len(rows[0]))]
     live = [col for col in columns if any(col)]
     if not live:
-        raise NoConsistentRatio("zero map constrains nothing")
-    if factor_degree == 1:
-        finite = None
-        for col in live:
-            roots = _column_ratio_roots(col, nb, p)
-            finite = roots if finite is None else finite & roots
-            if not finite:
+        return set()  # a zero map has no product structure
+    if base_degree == factor_degree == 1:
+        roots = None
+        for c0, c1, c2 in live:
+            found = solve_quadratic(c2, c1, c0, p) if c1 or c2 else ()
+            roots = set(found) if roots is None else roots.intersection(found)
+            if not roots:
                 break
-        candidates = {(r, 1) for r in finite} if finite else set()
-        if all(col[0] == 0 for col in columns):
-            candidates.add(RATIO_INFINITE)
-        return candidates
-    # degree-2 factors: exhaustive scan over both scaled coefficients
-    if p * p > 1 << 22:
-        raise SearchSpaceTooLarge("pair scan needs a small prime")
-    candidates = {
-        (u, v)
-        for u in range(p)
-        for v in range(p)
-        if all(_ratio_consistent(col, u, v, nb, p) for col in live)
-    }
-    return candidates
+        labels = {(-r % p,) for r in roots}
+        if not any(c2 for *_, c2 in live):
+            labels.add(())
+        return labels
+    if p**factor_degree > _RATIO_SCAN_GUARD[factor_degree]:
+        raise SearchSpaceTooLarge(f"label scan needs a smaller prime than {p}")
+    labels = set()
+    for e in range(factor_degree + 1):
+        rest = len(live[0]) - (factor_degree - e)
+        if any(any(col[rest:]) for col in live):
+            continue  # some column is too high in degree for a factor of degree e
+        found = itertools.product(range(p), repeat=e)
+        if e:  # the constant factor, label (), divides every column
+            for col in live:
+                head = col[:rest]
+                found = [g for g in found if _divides(g, head, p)]
+        labels.update(found)
+    return labels
 
 
 def recover_f_ratio(plain1, plain2, params):
-    """Recover the factor-coefficient ratios from both plain central maps.
+    """Recover the factor labels of both plain central maps.
 
-    For degree-1 factors each result is a set of projective pairs
-    (ratio, 1), plus (1, 0) when the constant coefficient must vanish;
-    the true ratio of the generating factor is always a member.  For
-    degree-2 factors each result is a set of pairs (f1/f0, f2/f0).
-    Raises NoConsistentRatio when a map admits no product structure.
+    Each plain map is the product b*f of a base polynomial and a factor,
+    column by column.  Each result is the set of labels (see true_ratio)
+    of the monic factors g of degree at most factor_degree that every
+    live column c of the map accepts: c's top factor_degree - deg g
+    coefficients vanish and g divides the rest.  A shorter label, such as
+    () for a constant, fits only where the top coefficients of every live
+    column vanish.  The true factor's label is always a member.  Raises
+    NoConsistentRatio when a map admits no product structure, and
+    SearchSpaceTooLarge when a scanned shape's prime exceeds its bound.
     """
+    shape = (params.prime, params.base_degree, params.factor_degree)
     out = []
     for rows in (plain1, plain2):
-        candidates = _map_ratio_candidates(
-            rows, params.prime, params.base_degree, params.factor_degree
-        )
+        candidates = _map_labels(zip(*rows), *shape)
         if not candidates:
-            raise NoConsistentRatio("no ratio satisfies every column")
+            raise NoConsistentRatio("no factor divides every live column")
         out.append(frozenset(candidates))
     return tuple(out)
 
@@ -546,20 +552,16 @@ class RingSearchResult:
 
 
 @cache
-def _root_exists_table(prime):
-    """Bitmask of the roots r of a*r^2 - b*r + c for every column (a, b, c).
-
-    That is the ratio equation of one column (see _column_ratio_roots);
-    the table is flattened at (a*p + b)*p + c.
+def _root_exists_table(p):
+    """Bitmask of the labels each column (c0, c1, c2) accepts, flattened at
+    (c0*p + c1)*p + c2: bit a for the label (a,), bit p for ().
     """
-    size = prime**3
-    table = np.zeros(size, dtype=np.uint32)
-    a = np.arange(size, dtype=np.int64) // (prime * prime)
-    b = (np.arange(size, dtype=np.int64) // prime) % prime
-    c = np.arange(size, dtype=np.int64) % prime
-    for r in range(prime):
-        hits = (a * r * r - b * r + c) % prime == 0
-        table[hits] |= np.uint32(1 << r)
+    columns = itertools.product(range(p), repeat=3)
+    next(columns)  # the zero column accepts every label
+    masks = [(1 << (p + 1)) - 1]
+    for col in columns:
+        masks.append(sum(1 << (g[0] if g else p) for g in _map_labels([col], p, 1, 1)))
+    table = np.array(masks, dtype=np.uint32)
     table.flags.writeable = False  # one cached table is shared by every search
     return table
 
@@ -568,21 +570,18 @@ def _table_accepts(matrix, mods, units, params):
     """Which pairs (mods[i], units[i]) give the cipher map a product structure.
 
     A pair (S, V) is accepted when the live columns of (V * matrix mod S)
-    mod p share a quadratic ratio root, read from the p^3 root table, or
-    all their constant-row entries vanish.
+    mod p share a label, read from the p^3 label table.
     """
     p = params.prime
     table = _root_exists_table(p)
-    roots = np.full(len(units), (1 << p) - 1, dtype=np.uint32)
-    infinite = np.ones(len(units), dtype=bool)
+    labels = np.full(len(units), (1 << (p + 1)) - 1, dtype=np.uint32)
     live = np.zeros(len(units), dtype=bool)
     for j in range(len(matrix[0])):
         c0, c1, c2 = (units * row[j] % mods % p for row in matrix)
         column = (c0 * p + c1) * p + c2
-        roots &= table[column]
-        infinite &= column < p * p  # the constant-row entry c0 is 0
+        labels &= table[column]
         live |= column != 0
-    return ((roots != 0) | infinite) & live
+    return (labels != 0) & live
 
 
 def _scalar_accepts(matrix, mods, units, params):
@@ -591,10 +590,7 @@ def _scalar_accepts(matrix, mods, units, params):
     accepted = []
     for modulus, v in zip(mods.tolist(), units.tolist()):
         rows = [[v * c % modulus % p for c in row] for row in matrix]
-        try:
-            accepted.append(bool(_map_ratio_candidates(rows, p, nb, nf)))
-        except NoConsistentRatio:
-            accepted.append(False)
+        accepted.append(bool(_map_labels(zip(*rows), p, nb, nf)))
     return np.array(accepted, dtype=bool)
 
 
@@ -633,7 +629,7 @@ def ring_key_search(pk, params, s_bits):
     tests the first map on every unit, then the second map only on the
     moduli where the first accepted a unit; work counts the units tested.
     Inverses are taken only for moduli both maps accept.  The shape picks
-    the unit test: a p^3 root table for degree-1 factors over a degree-1
+    the unit test: a p^3 label table for degree-1 factors over a degree-1
     base and p <= 31, per-pair ratio recovery otherwise.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:

@@ -8,7 +8,6 @@ timed in one run, one call of each in turn, so that a slow phase of a
 shared host lands on all of them alike.
 """
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -56,6 +55,7 @@ def run_bench(operation, profiles, rng, iterations=2000, warmup=200):
     Returns one BenchReport per profile, in order; raises ValueError
     below the iteration floor.
     """
+    import statistics  # imported here, so that importing the CLI does not load it
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
     if warmup < MIN_WARMUP:

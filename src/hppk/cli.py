@@ -197,7 +197,8 @@ def _indcpa(analysis, args, params, rng, instance):
     }[args.adversary]
     advantage = analysis.ind_cpa_game(params, adversary, args.trials, rng)
     if args.adversary == "likelihood":
-        held = 0.0 <= advantage <= 0.5
+        error = abs(advantage - analysis.likelihood_advantage(params))
+        held = error <= 2 / args.trials**0.5  # 4 binomial standard deviations
     else:
         held = advantage < 0.02
     return held, [args.trials, f"{advantage:.6f}"]

@@ -211,6 +211,19 @@ def test_ind_cpa_likelihood_advantage_decays_with_noise():
     assert a2 > 0.05  # with one noise variable the gap is clearly visible
 
 
+@pytest.mark.parametrize("prime, noise_vars", [(5, 2), (5, 3), (7, 2), (13, 2)])
+def test_ind_cpa_likelihood_advantage_matches_prediction(prime, noise_vars):
+    params = ParameterSet(prime=prime, base_degree=1, factor_degree=1,
+                          noise_vars=noise_vars, label="likelihood")
+    adversary = analysis.ExhaustiveLikelihoodAdversary(DeterministicStream(b"lik-coin"))
+    trials = 4000
+    rng = DeterministicStream(f"lik-{prime}-{noise_vars}".encode())
+    advantage = analysis.ind_cpa_game(params, adversary, trials, rng)
+    predicted = analysis.likelihood_advantage(params)
+    assert predicted == prime ** -(noise_vars - 1) / 2
+    assert abs(advantage - predicted) <= 2 / trials**0.5  # 4 binomial sigma
+
+
 # -- factor ratio recovery
 
 
@@ -219,10 +232,10 @@ def test_recover_f_ratio_toy(toy_params, toy_keypair):
     plain1, plain2 = _plain_maps(sk, pk, 13)
     assert plain1 == ((6, 7), (9, 11), (11, 8))
     set1, set2 = analysis.recover_f_ratio(plain1, plain2, toy_params)
-    # true ratios: 9 * 4^-1 = 12 and 7 * 10^-1 = 2 mod 13
-    assert set1 == frozenset({(12, 1)})
-    assert set2 == frozenset({(2, 1)})
-    assert (12 * 12 * 6 - 12 * 9 + 11) % 13 == 0  # root check on column 1
+    # labels of f1 = 4 + 9t and f2 = 10 + 7t: 4 * 9^-1 = 12 and 10 * 7^-1 = 7 mod 13
+    assert set1 == frozenset({(12,)})
+    assert set2 == frozenset({(7,)})
+    assert (6 + 9 + 11) % 13 == 0  # t + 12 divides column 0: it vanishes at t = 1
 
 
 @pytest.mark.parametrize("base_degree", [1, 2])
@@ -241,15 +254,15 @@ def test_recover_f_ratio_from_keygen(prime, base_degree):
 
 
 def test_recover_f_ratio_zero_constant_coefficient(toy_params):
-    # f1 with zero constant coefficient has no finite ratio
+    # f1 = 9t is t up to scale: its label is (0,)
     sk, pk = keypair_from_values(
         toy_params, 6798, 4267, 6475, (0, 9), (10, 7), ((8, 5), (7, 11))
     )
     plain1, plain2 = _plain_maps(sk, pk, 13)
     set1, set2 = analysis.recover_f_ratio(plain1, plain2, toy_params)
-    assert analysis.RATIO_INFINITE in set1
-    assert analysis.true_ratio((0, 9), 13) == analysis.RATIO_INFINITE
-    assert (2, 1) in set2
+    assert (0,) in set1
+    assert analysis.true_ratio((0, 9), 13) == (0,)
+    assert (7,) in set2
 
 
 def test_recover_f_ratio_rejects_random_matrices():
@@ -270,20 +283,78 @@ def test_recover_f_ratio_degree2():
     params = ParameterSet(prime=257, base_degree=1, factor_degree=2,
                           noise_vars=2, label="fr-deg2")
     rng = DeterministicStream(b"fratio-deg2")
-    from hppk.modmath import mod_inverse
-
-    hits = 0
-    while hits < 20:
+    for _ in range(20):
         sk, pk = keygen(params, rng)
-        if sk.f1[0] == 0 or sk.f2[0] == 0:
-            continue  # pair scan reports ratios relative to a nonzero constant
         plain1, plain2 = _plain_maps(sk, pk, 257)
         set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
-        inv0 = mod_inverse(sk.f1[0], 257)
-        assert (sk.f1[1] * inv0 % 257, sk.f1[2] * inv0 % 257) in set1
-        inv0 = mod_inverse(sk.f2[0], 257)
-        assert (sk.f2[1] * inv0 % 257, sk.f2[2] * inv0 % 257) in set2
-        hits += 1
+        assert analysis.true_ratio(sk.f1, 257) in set1
+        assert analysis.true_ratio(sk.f2, 257) in set2
+
+
+# (len(set1), len(set2)) per map, or x for NoConsistentRatio, recorded
+# when labels were projective ratios (f1/f0 : 1); relabelling keeps each count
+PINNED_RATIO_COUNTS = {
+    (13, 1): "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 2/2 1/1 "
+             "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/2 x x x x x 1/1 1/1 x x 1/1 x "
+             "2/1 x x x 2/1 x x x x x 2/1 x",
+    (13, 2): "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 2/2 1/1 1/1 1/1 1/1 1/1 1/1 1/1 "
+             "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 x 1/3 1/3 x x 1/2 x x x x x 1/1 x "
+             "1/1 2/2 2/2 1/1 x x x x 3/1 x x x",
+    (37, 1): "1/1 1/1 1/1 2/2 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 2/2 1/1 1/1 "
+             "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/2 x x x x x x x 1/1 x 1/1 x x "
+             "1/1 x 1/1 x x x x 2/1 x x x",
+    (37, 2): "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 "
+             "1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 x x x x x x x x x x x 2/1 1/1 x "
+             "x 1/1 x 1/1 2/1 x x x x x",
+}
+
+
+@pytest.mark.parametrize("prime, base_degree", list(PINNED_RATIO_COUNTS))
+def test_recover_f_ratio_counts_match_recorded(prime, base_degree):
+    # 25 keys' plain maps, then 25 pairs of random matrices about half zero
+    params = ParameterSet(prime=prime, base_degree=base_degree, factor_degree=1,
+                          noise_vars=2, label="pin")
+    rng = DeterministicStream(f"fratio-pin-{prime}-{base_degree}".encode())
+    maps = [_plain_maps(*keygen(params, rng), prime) for _ in range(25)]
+    maps += [
+        tuple(
+            tuple(tuple(rng.below(prime) if rng.bits(1) else 0 for _ in range(2))
+                  for _ in range(base_degree + 2))
+            for _ in range(2)
+        )
+        for _ in range(25)
+    ]
+    counts = []
+    for plain1, plain2 in maps:
+        try:
+            set1, set2 = analysis.recover_f_ratio(plain1, plain2, params)
+        except NoConsistentRatio:
+            counts.append("x")
+        else:
+            counts.append(f"{len(set1)}/{len(set2)}")
+    assert " ".join(counts) == PINNED_RATIO_COUNTS[prime, base_degree]
+
+
+@pytest.mark.parametrize("prime, base_degree, factor_degree", [
+    (16411, 2, 1),  # the first prime above 2^14
+    (2053, 1, 2),  # the first prime above 2^11, so p^2 > 2^22
+])
+def test_recover_f_ratio_scan_bounds(prime, base_degree, factor_degree):
+    params = ParameterSet(prime=prime, base_degree=base_degree,
+                          factor_degree=factor_degree, noise_vars=2, label="bound")
+    sk, pk = keygen(params, DeterministicStream(b"scan-bound"))
+    with pytest.raises(SearchSpaceTooLarge):
+        analysis.recover_f_ratio(*_plain_maps(sk, pk, prime), params)
+
+
+def test_recover_f_ratio_scans_below_the_degree2_bound():
+    # 2039 is the largest prime with p^2 <= 2^22, so the labels are scanned;
+    # t^3 + t + 5 has no root mod 2039, so no quadratic divides it either
+    params = ParameterSet(prime=2039, base_degree=1, factor_degree=2,
+                          noise_vars=2, label="bound")
+    irreducible = ((5, 0), (1, 0), (0, 0), (1, 0))
+    with pytest.raises(NoConsistentRatio):
+        analysis.recover_f_ratio(irreducible, irreducible, params)
 
 
 # -- hidden ring search

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hppk
-from hppk import kat
+from hppk import analysis, kat
 from hppk.cli import main
 from hppk.params import PARAMETER_SETS
 
@@ -229,13 +229,26 @@ def test_attack_ringsearch_guard(capsys):
     ("--oracle", "bruteforce", "--instances", "-2"),
     ("--oracle", "fratio", "--instances", "0"),
     ("--oracle", "fratio", "--prime", "12"),
+    ("--oracle", "fratio", "--nb", "2", "--prime", "16411"),
 ], ids=["prime4", "noise1", "nb0", "sbits1", "sbits4", "p31-sbits5", "sbits300",
-        "trials0", "instances-2", "instances0", "fratio-prime12"])
+        "trials0", "instances-2", "instances0", "fratio-prime12",
+        "fratio-scan-bound"])
 def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, "attack", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("hppk: ")
+
+
+def test_attack_indcpa_likelihood_fails_far_from_prediction(capsys, monkeypatch):
+    # with p = 13 and 2 noise variables the prediction is 1/26, and 0.3 is off
+    # by more than 2/sqrt(200)
+    monkeypatch.setattr(analysis, "ind_cpa_game", lambda *args: 0.3)
+    code, out, err = _run(capsys, "attack", "--oracle", "indcpa",
+                          "--adversary", "likelihood", "--trials", "200")
+    assert code == 3
+    assert err == "oracle assertion failed\n"
+    assert list(csv.reader(io.StringIO(out)))[1][4] == "0.300000"
 
 
 def test_attack_ringsearch_finds_keys(capsys):

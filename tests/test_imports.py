@@ -6,6 +6,7 @@ for imports kept for their side effect or for outside callers.
 
 Importing the package and its CLI loads no OpenSSL binding: SHAKE256
 comes from the built-in _sha3 module and SystemRng from os.urandom.
+Nor does it load statistics, which only `hppk bench` needs.
 """
 
 import ast
@@ -76,7 +77,7 @@ def test_package_import_loads_no_openssl():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hppk, hppk.cli; "
-        "print(' '.join(m for m in ('_hashlib', 'hashlib', 'secrets') "
+        "print(' '.join(m for m in ('_hashlib', 'hashlib', 'secrets', 'statistics') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
