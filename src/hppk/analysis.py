@@ -248,22 +248,9 @@ def reduce_to_single(sys):
 # -- exhaustive solving
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Exhaustive enumeration result; every member satisfies the system."""
-
-    solutions: tuple
-
-    @property
-    def count(self):
-        return len(self.solutions)
-
-    def __contains__(self, assignment):
-        return tuple(assignment) in set(self.solutions)
-
-
 def brute_force_solutions(target):
-    """Enumerate all assignments over F_p satisfying the system or reduced form.
+    """Every assignment (x, *noise) over F_p satisfying the system or
+    reduced form, as a tuple in lexicographic order.
 
     The search space p**variables must stay at or below 2**26; larger
     requests raise SearchSpaceTooLarge.
@@ -272,12 +259,10 @@ def brute_force_solutions(target):
     m = target.noise_vars
     if p ** (1 + m) > _BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{p}**{1 + m} assignments exceed the guard")
-    return SolutionSet(
-        tuple(
-            (x, *noise)
-            for x in range(p)
-            for noise in _noise_solutions(target.forms(x), p, m)
-        )
+    return tuple(
+        (x, *noise)
+        for x in range(p)
+        for noise in _noise_solutions(target.forms(x), p, m)
     )
 
 

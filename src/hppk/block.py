@@ -47,7 +47,7 @@ class PrivateKey:
     f2: tuple
 
     def __post_init__(self):
-        if self.key1.ring != self.key2.ring:
+        if self.key1.modulus != self.key2.modulus:
             raise ValueError("both multipliers must belong to one hidden ring")
         if len(self.f1) != len(self.f2):
             raise ValueError("factor polynomials must have equal length")
@@ -56,7 +56,7 @@ class PrivateKey:
 
     @property
     def modulus(self):
-        return self.key1.ring.modulus
+        return self.key1.modulus
 
     @property
     def r1(self):
@@ -240,16 +240,14 @@ def private_key(params, modulus, r1, r2, f1, f2):
     proportional mod p.  Raises ValueError, or NotCoprime for a non-unit.
     """
     p = params.prime
-    ring = fhe.HiddenRing(modulus)
-    if ring.bit_length != params.ring_bits:
+    if ensure_wide(modulus, "ring modulus").bit_length() != params.ring_bits:
         raise ValueError("ring modulus has the wrong bit length")
     if len(f1) != params.factor_degree + 1 or len(f2) != params.factor_degree + 1:
         raise ValueError("factor length does not match the parameter set")
     if not all(0 <= c < p for c in (*f1, *f2)):
         raise ValueError("factor coefficient outside [0, p)")
-    sk = PrivateKey(
-        fhe.HomomorphicKey(ring, r1), fhe.HomomorphicKey(ring, r2), tuple(f1), tuple(f2)
-    )
+    key1, key2 = (fhe.HomomorphicKey(modulus, r) for r in (r1, r2))
+    sk = PrivateKey(key1, key2, tuple(f1), tuple(f2))
     if _proportional(sk.f1, sk.f2, p):
         raise ValueError("factor polynomials are proportional mod p")
     return sk
@@ -281,9 +279,9 @@ def sample_keypair(params, ring_bits, rng):
     is discarded after the products are built.
     """
     p = params.prime
-    ring = fhe.ring_gen(ring_bits, rng)
-    key1 = fhe.he_keygen(ring, rng)
-    key2 = fhe.he_keygen(ring, rng)
+    modulus = fhe.ring_gen(ring_bits, rng)
+    key1 = fhe.he_keygen(modulus, rng)
+    key2 = fhe.he_keygen(modulus, rng)
     f1 = _sample_factor(p, params.factor_degree, rng)
     f2 = _sample_factor(p, params.factor_degree, rng)
     while _proportional(f1, f2, p):

@@ -186,21 +186,21 @@ def _bruteforce(analysis, args, params, rng, instance):
         system, witness = analysis.random_planted_system(params, rng)
     solutions = analysis.brute_force_solutions(system)
     found = witness in solutions
-    return found, [solutions.count, ":".join(str(v) for v in witness), found]
+    return found, [len(solutions), ":".join(str(v) for v in witness), found]
 
 
 def _indcpa(analysis, args, params, rng, instance):
-    adversary = {
-        "random": analysis.RandomGuessAdversary(rng),
-        "constant0": analysis.ConstantAdversary(0),
-        "likelihood": analysis.ExhaustiveLikelihoodAdversary(rng),
+    # each adversary with its predicted advantage
+    adversary, predicted = {
+        "random": (analysis.RandomGuessAdversary(rng), 0.0),
+        "constant0": (analysis.ConstantAdversary(0), 0.0),
+        "likelihood": (
+            analysis.ExhaustiveLikelihoodAdversary(rng),
+            analysis.likelihood_advantage(params),
+        ),
     }[args.adversary]
     advantage = analysis.ind_cpa_game(params, adversary, args.trials, rng)
-    if args.adversary == "likelihood":
-        error = abs(advantage - analysis.likelihood_advantage(params))
-        held = error <= 2 / args.trials**0.5  # 4 binomial standard deviations
-    else:
-        held = advantage < 0.02
+    held = abs(advantage - predicted) < 2 / args.trials**0.5  # 4 binomial sigma
     return held, [args.trials, f"{advantage:.6f}"]
 
 

@@ -1,14 +1,14 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
-A key is a pair (R, S): S is a secret ring modulus and R a unit of Z_S.
-HomomorphicKey checks R when it is built and derives R^-1 mod S when it
+A key is a pair (S, R): S is a secret ring modulus and R a unit of Z_S.
+HomomorphicKey checks both when it is built and derives R^-1 mod S when it
 first decrypts, as masking needs only R.  A polynomial is held as a
 coefficient matrix (rows x cols), and a point of evaluation as a table
 of monomial values mod p of the same shape; any polynomial with T terms
 is a 1 x T matrix.  Encrypting multiplies every coefficient by R mod S.
 The variables stay in F_p, so anyone can still evaluate the cipher
 polynomial: the sum of coefficient * monomial value over the plain
-integers.  Whoever holds (R, S) undoes the mask with R^-1 mod S and
+integers.  Whoever holds (S, R) undoes the mask with R^-1 mod S and
 reduces mod p to recover the plain polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
@@ -34,40 +34,28 @@ from .modmath import ensure_wide, mod_inverse
 
 
 @dataclass(frozen=True)
-class HiddenRing:
-    """Secret modulus S defining the coefficient ring Z_S."""
-
-    modulus: int
-
-    def __post_init__(self):
-        ensure_wide(self.modulus, "ring modulus")
-        if self.modulus < 2:
-            raise ValueError("ring modulus must be at least 2")
-
-    @property
-    def bit_length(self):
-        return self.modulus.bit_length()
-
-
-@dataclass(frozen=True)
 class HomomorphicKey:
-    """A unit mult of the hidden ring; its inverse is derived on first use.
+    """The pair (S, R): a ring modulus and a unit of Z_S.
 
-    mult outside (0, S) raises ValueError, a non-unit NotCoprime.
+    R^-1 mod S is derived on first use.  A modulus that is not an int
+    raises TypeError, a negative one or one wider than 256 bits
+    CapacityExceeded.  mult outside (0, S) raises ValueError, so S >= 2,
+    and a non-unit NotCoprime.
     """
 
-    ring: HiddenRing
+    modulus: int
     mult: int
 
     def __post_init__(self):
-        if not 0 < self.mult < self.ring.modulus:
+        ensure_wide(self.modulus, "ring modulus")
+        if not 0 < self.mult < self.modulus:
             raise ValueError("multiplier must lie in (0, S)")
-        if gcd(self.mult, self.ring.modulus) != 1:
+        if gcd(self.mult, self.modulus) != 1:
             raise NotCoprime("multiplier is not a unit of the ring")
 
     @cached_property
     def mult_inv(self):
-        return mod_inverse(self.mult, self.ring.modulus)
+        return mod_inverse(self.mult, self.modulus)
 
 
 def ring_gen(bits, rng):
@@ -78,28 +66,27 @@ def ring_gen(bits, rng):
     """
     if bits < 2:
         raise ValueError("ring modulus needs at least 2 bits")
-    s = (1 << (bits - 1)) | rng.bits(bits - 1)
-    return HiddenRing(s)
+    return (1 << (bits - 1)) | rng.bits(bits - 1)
 
 
-def he_keygen(ring, rng):
+def he_keygen(modulus, rng):
     """Sample a unit of Z_S by rejection: zero and non-units are redrawn."""
     while True:
-        r = rng.below(ring.modulus)
+        r = rng.below(modulus)
         try:
-            return HomomorphicKey(ring, r)
+            return HomomorphicKey(modulus, r)
         except (ValueError, NotCoprime):
             pass
 
 
 def encrypt_value(key, value):
     """The coefficient operator: R * value mod S."""
-    return key.mult * value % key.ring.modulus
+    return key.mult * value % key.modulus
 
 
 def encrypt_coeffs(key, rows):
     """Encrypt every coefficient of a matrix, keeping its shape."""
-    r, s = key.mult, key.ring.modulus
+    r, s = key.mult, key.modulus
     return tuple(tuple(r * c % s for c in row) for row in rows)
 
 
@@ -133,7 +120,7 @@ def decrypt_value(key, value, prime):
     eval_cipher_poly under the matching key and the ring size condition
     held; a wrong key yields garbage by design.
     """
-    return key.mult_inv * value % key.ring.modulus % prime
+    return key.mult_inv * value % key.modulus % prime
 
 
 def decrypt_coeffs(key, rows, prime):

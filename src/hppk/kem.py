@@ -90,9 +90,11 @@ def _pack_payloads(payloads, params):
 def encaps(pk, params, rng):
     """Encapsulate a fresh 32-byte shared secret under pk.
 
-    Per block, in draw order: the block secret, then one noise value per
-    noise variable (the whole noise vector is redrawn if all zero).
-    Returns (KemCiphertext, shared secret bytes).
+    Per block, in draw order (see _sample_block): for factor_degree 1 the
+    block secret, then one noise value per noise variable; for
+    factor_degree 2 a payload, redrawn until it formats, then the noise.
+    The whole noise vector is redrawn while it is all zero.  Returns
+    (KemCiphertext, shared secret bytes).
     """
     blocks = []
     payloads = []

@@ -4,6 +4,7 @@ import pytest
 
 from hppk import fhe
 from hppk.block import (
+    PrivateKey,
     PublicKey,
     build_plain_central_map,
     crc8,
@@ -16,7 +17,7 @@ from hppk.block import (
     monomial_table,
     verify_flag,
 )
-from hppk.errors import AllZeroNoise, NoValidRoot, ZeroDenominator
+from hppk.errors import AllZeroNoise, CapacityExceeded, NoValidRoot, ZeroDenominator
 from hppk.modmath import mod_inverse
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
@@ -366,3 +367,22 @@ def test_keypair_from_values_rejects_proportional(toy_params):
 def test_keypair_from_values_rejects_zero_base(toy_params, base):
     with pytest.raises(ValueError, match="zero mod p"):
         keypair_from_values(toy_params, 6798, 4267, 6475, (4, 9), (10, 7), base)
+
+
+@pytest.mark.parametrize("modulus, error", [
+    (6798.0, TypeError),
+    (1 << 256, CapacityExceeded),
+], ids=["float", "2^256"])
+def test_keypair_from_values_rejects_moduli_that_are_not_wide_ints(
+    toy_params, modulus, error
+):
+    with pytest.raises(error):
+        keypair_from_values(toy_params, modulus, 4267, 6475, (4, 9), (10, 7), TOY_B)
+
+
+def test_private_key_rejects_keys_over_two_moduli():
+    # 6799 = 13 * 523 and 4267 = 17 * 251: one unit, valid under either modulus
+    key1, key2 = fhe.HomomorphicKey(6798, 4267), fhe.HomomorphicKey(6799, 4267)
+    PrivateKey(key1, key1, (4, 9), (10, 7))
+    with pytest.raises(ValueError, match="one hidden ring"):
+        PrivateKey(key1, key2, (4, 9), (10, 7))

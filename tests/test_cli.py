@@ -211,6 +211,19 @@ def test_attack_indcpa_random_adversary(capsys):
     assert float(rows[1][4]) < 0.02
 
 
+@pytest.mark.parametrize("adversary, trials", [("constant0", "300"), ("random", "1000")])
+def test_attack_indcpa_fair_adversaries_pass_at_small_trial_counts(
+    capsys, adversary, trials
+):
+    # a fair game's measured advantage spreads as 0.5/sqrt(trials), which is
+    # above 0.02 at these trial counts
+    for seed in range(1, 21):
+        code, out, err = _run(capsys, "attack", "--oracle", "indcpa",
+                              "--adversary", adversary, "--trials", trials,
+                              "--seed", f"{seed:04x}")
+        assert (code, err) == (0, ""), (seed, out)
+
+
 def test_attack_ringsearch_guard(capsys):
     code, _, err = _run(capsys, "attack", "--oracle", "ringsearch",
                         "--sbits", "20")
@@ -240,12 +253,13 @@ def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
     assert err.startswith("hppk: ")
 
 
-def test_attack_indcpa_likelihood_fails_far_from_prediction(capsys, monkeypatch):
-    # with p = 13 and 2 noise variables the prediction is 1/26, and 0.3 is off
-    # by more than 2/sqrt(200)
+@pytest.mark.parametrize("adversary", ["random", "constant0", "likelihood"])
+def test_attack_indcpa_fails_far_from_prediction(capsys, monkeypatch, adversary):
+    # with p = 13 and 2 noise variables the predictions are 0, 0 and 1/26, and
+    # 0.3 is off from each by more than 2/sqrt(200)
     monkeypatch.setattr(analysis, "ind_cpa_game", lambda *args: 0.3)
     code, out, err = _run(capsys, "attack", "--oracle", "indcpa",
-                          "--adversary", "likelihood", "--trials", "200")
+                          "--adversary", adversary, "--trials", "200")
     assert code == 3
     assert err == "oracle assertion failed\n"
     assert list(csv.reader(io.StringIO(out)))[1][4] == "0.300000"
