@@ -23,8 +23,9 @@ search's label table all apply this one rule.
 """
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 
 import numpy as np
@@ -44,7 +45,13 @@ _RING_SEARCH_MAX_BITS = 14
 # largest p**factor_degree for exhaustive label scans
 _RATIO_SCAN_GUARD = {1: 1 << 14, 2: 1 << 22}
 _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
-_RING_SEARCH_CHUNK = 1 << 16  # (modulus, unit) pairs per numpy pass of the ring search
+# A ring width's moduli fall into chunks of about _RING_SEARCH_CHUNK (modulus,
+# unit) pairs, fixed by the width alone so that every search at that width
+# shares one coprime grid per chunk.  A 14-bit chunk holds at most 55.7k coprime
+# pairs, 0.42 MiB as two int32 arrays, so the cache holds at most 7.7 MiB; the
+# 12 chunks of every width up to 10 bits fit in it together.
+_RING_SEARCH_CHUNK = 1 << 16
+_UNIT_GRID_CACHE = 18  # chunks whose grids stay built
 
 
 # -- the mod-p view of one ciphertext block
@@ -555,18 +562,15 @@ def _table_accepts(matrix, mods, units, params):
     """Which pairs (mods[i], units[i]) give the cipher map a product structure.
 
     A pair (S, V) is accepted when the live columns of (V * matrix mod S)
-    mod p share a label, read from the p^3 label table.
+    mod p share a label, read from the p^3 label table.  Every entry of
+    the map is unmasked in one broadcast pass.
     """
     p = params.prime
-    table = _root_exists_table(p)
-    labels = np.full(len(units), (1 << (p + 1)) - 1, dtype=np.uint32)
-    live = np.zeros(len(units), dtype=bool)
-    for j in range(len(matrix[0])):
-        c0, c1, c2 = (units * row[j] % mods % p for row in matrix)
-        column = (c0 * p + c1) * p + c2
-        labels &= table[column]
-        live |= column != 0
-    return (labels != 0) & live
+    flat = np.array(matrix, dtype=np.int32).reshape(-1, 1)
+    c0, c1, c2 = (flat * units % mods % p).reshape(3, len(matrix[0]), len(units))
+    columns = (c0 * p + c1) * p + c2
+    labels = np.bitwise_and.reduce(_root_exists_table(p)[columns], axis=0)
+    return (labels != 0) & columns.any(axis=0)
 
 
 def _scalar_accepts(matrix, mods, units, params):
@@ -593,6 +597,39 @@ def _ring_options(mods, units, moduli):
     ]
 
 
+@cache
+def _chunk_bounds(s_bits):
+    """The first modulus of each chunk of the s_bits-wide ring, then 2^s_bits.
+
+    A modulus joins the chunk in which its last (modulus, unit) pair falls,
+    counting pairs from the ring's lowest modulus 2^(s_bits - 1).
+    """
+    high = 1 << s_bits
+    moduli = np.arange(high >> 1, high, dtype=np.int64)
+    chunk_of = (np.cumsum(moduli - 1) - 1) // _RING_SEARCH_CHUNK
+    starts = moduli[np.flatnonzero(np.diff(chunk_of, prepend=-1))]
+    return (*starts.tolist(), high)
+
+
+@lru_cache(maxsize=_UNIT_GRID_CACHE)
+def _unit_grid(start, stop):
+    """Every (modulus, unit) pair with start <= modulus < stop and the unit
+    prime to it, in ascending order, as two read-only int32 arrays.
+    """
+    # int32 holds every product unit * entry (below 2^28 under the cap) and
+    # divides faster than int64
+    chunk = np.arange(start, stop, dtype=np.int32)
+    sizes = chunk - 1
+    mods = np.repeat(chunk, sizes)
+    offsets = np.cumsum(sizes, dtype=np.int32) - sizes
+    units = np.arange(1, len(mods) + 1, dtype=np.int32) - np.repeat(offsets, sizes)
+    coprime = np.gcd(units, mods) == 1
+    mods, units = mods[coprime], units[coprime]
+    for a in (mods, units):
+        a.flags.writeable = False  # one cached grid is shared by every search
+    return mods, units
+
+
 def ring_key_search(pk, params, s_bits):
     """Enumerate (S, R1, R2) triples that reproduce a product structure.
 
@@ -609,13 +646,18 @@ def ring_key_search(pk, params, s_bits):
     indistinguishable companions.  Narrower rings raise ValueError, and
     s_bits is capped at 14.
 
-    The (modulus, unit) pairs are scanned in chunks of consecutive moduli,
-    about _RING_SEARCH_CHUNK pairs each, as flat numpy arrays.  Each chunk
-    tests the first map on every unit, then the second map only on the
-    moduli where the first accepted a unit; work counts the units tested.
+    The (modulus, unit) pairs are scanned a chunk of consecutive moduli at
+    a time.  The chunks depend on s_bits alone, about _RING_SEARCH_CHUNK
+    pairs each, and each chunk's grid of coprime pairs is built once per
+    process and kept in a bounded cache (at most 7.7 MiB, at 14 bits), so
+    searches at one width share their grids; a search skips the chunks
+    below its floor and cuts the one holding the floor.  Each chunk tests
+    the first map on every unit, then the second map only on the moduli
+    where the first accepted a unit; work counts the units tested.
     Inverses are taken only for moduli both maps accept.  The shape picks
-    the unit test: a p^3 label table for degree-1 factors over a degree-1
-    base and p <= 31, per-pair ratio recovery otherwise.
+    the unit test: for degree-1 factors over a degree-1 base and p <= 31,
+    one broadcast pass unmasks every entry of a map and reads a p^3 label
+    table; otherwise ratio recovery runs pair by pair.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")
@@ -631,33 +673,26 @@ def ring_key_search(pk, params, s_bits):
     max_entry = max(max(max(row) for row in m) for m in (pk.p1, pk.p2))
     high = 1 << s_bits
     low = min(max(high >> 1, max_entry + 1), high)
-    # int32 holds every product unit * entry (below 2^28 under the cap) and
-    # divides faster than int64
-    moduli = np.arange(low, high, dtype=np.int32)
-    # a modulus joins the chunk in which its last (modulus, unit) pair falls
-    chunk_of = (np.cumsum(moduli - 1) - 1) // _RING_SEARCH_CHUNK
-    bounds = np.flatnonzero(np.diff(chunk_of)) + 1
-    chunks = np.split(moduli, bounds) if len(moduli) else []  # np.split([]) is [[]]
+    bounds = _chunk_bounds(s_bits)
+    first = bisect_right(bounds, low) - 1  # the chunk holding low, if any
     work = 0
     found = []
-    for chunk in chunks:
-        sizes = chunk - 1
-        mods = np.repeat(chunk, sizes)
-        offsets = np.cumsum(sizes, dtype=np.int32) - sizes
-        units = np.arange(1, len(mods) + 1, dtype=np.int32) - np.repeat(offsets, sizes)
-        coprime = np.gcd(units, mods) == 1
-        mods, units = mods[coprime], units[coprime]
+    for start, stop in zip(bounds[first:], bounds[first + 1 :]):
+        mods, units = _unit_grid(start, stop)
+        start = max(start, low)
+        cut = np.searchsorted(mods, start)
+        mods, units = mods[cut:], units[cut:]
         accepted = []
         for matrix in (pk.p1, pk.p2):
             work += len(units)
             ok = accepts(matrix, mods, units, params)
             accepted.append((mods[ok], units[ok]))
             # the next map is tested only where this one accepted a unit
-            hit = np.zeros(len(chunk), dtype=bool)
-            hit[mods[ok] - chunk[0]] = True
-            survives = hit[mods - chunk[0]]
+            hit = np.zeros(stop - start, dtype=bool)
+            hit[mods[ok] - start] = True
+            survives = hit[mods - start]
             mods, units = mods[survives], units[survives]
-        both = chunk[hit].tolist()
+        both = (np.flatnonzero(hit) + start).tolist()
         options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
         found += map(RingCandidate, both, options1, options2)
     return RingSearchResult(candidates=tuple(found), work=work)

@@ -73,10 +73,8 @@ def he_keygen(modulus, rng):
     """Sample a unit of Z_S by rejection: zero and non-units are redrawn."""
     while True:
         r = rng.below(modulus)
-        try:
+        if r and gcd(r, modulus) == 1:
             return HomomorphicKey(modulus, r)
-        except (ValueError, NotCoprime):
-            pass
 
 
 def encrypt_value(key, value):

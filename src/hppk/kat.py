@@ -31,7 +31,6 @@ TOY_F2 = (10, 7)
 TOY_BASE = ((8, 5), (7, 11))
 TOY_SECRET = 8
 TOY_NOISE = (3, 6)
-TOY_CIPHERTEXT = (198082, 192229)
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,8 @@ RING_REFERENCE_CASES = {
     "floor-raised": (13, 1, 3, 7, "ring-ref-floor", "floor"),
     "map1-rejects": (13, 1, 4, 7, "ring-ref-map1-1", "map1-rejects"),
     "p31-table": (31, 1, 3, 8, "ring-ref-p31-table", None),
+    "floor-in-later-chunk": (13, 1, 2, 9, "ring-ref-floor-chunk-9", "floor-chunk"),
+    "m5-table": (13, 1, 5, 8, "ring-ref-13-5", None),
 }
 
 
@@ -439,8 +441,13 @@ def test_ring_search_matches_reference(case):
     assert result.contains(sk.modulus, sk.r1, sk.r2)
     max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
     moduli = range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits)
+    bounds = analysis._chunk_bounds(s_bits)
     if exercises == "chunks":
-        assert sum(s - 1 for s in moduli) > analysis._RING_SEARCH_CHUNK
+        # a chunk boundary falls inside the searched range
+        assert any(moduli.start < b < moduli.stop for b in bounds)
+    if exercises == "floor-chunk":
+        # the floor cuts a chunk after the first, so whole chunks are skipped
+        assert bounds[1] < moduli.start and moduli.start not in bounds
     if exercises == "floor":
         assert moduli.start > 1 << (s_bits - 1)
     if exercises == "map1-rejects":
@@ -456,6 +463,21 @@ def test_ring_search_matches_reference_on_benchmark_shape():
         result = analysis.ring_key_search(pk, P13M3, 7)
         assert (result.candidates, result.work) == _reference_ring_search(pk, P13M3, 7)
         assert result.contains(sk.modulus, sk.r1, sk.r2)
+
+
+def test_ring_search_reuses_each_width_grid():
+    rng = DeterministicStream(b"ring-grid-cache")
+    _, pk8 = analysis.random_ring_instance(P13M3, 8, rng)
+    _, pk9 = analysis.random_ring_instance(P13M3, 9, rng)
+    first = analysis.ring_key_search(pk8, P13M3, 8)
+    analysis.ring_key_search(pk9, P13M3, 9)
+    hits = analysis._unit_grid.cache_info().hits
+    assert analysis.ring_key_search(pk8, P13M3, 8) == first
+    assert analysis._unit_grid.cache_info().hits > hits
+    for grid in analysis._unit_grid(*analysis._chunk_bounds(8)):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0
 
 
 @pytest.mark.parametrize("s_bits", [0, 4])

@@ -97,8 +97,9 @@ def test_homomorphic_key_rejects_bad_moduli(modulus, error):
 
 
 def test_he_keygen_rejects_non_units():
-    key = fhe.he_keygen(8, StubRng([2, 5]))  # gcd(2, 8) = 2, so 2 is skipped
-    assert key.mult == 5
+    # gcd(2, 8) = 2, so 2 is skipped, and so is a zero draw
+    for draws in ([2, 5], [0, 2, 5]):
+        assert fhe.he_keygen(8, StubRng(draws)).mult == 5
 
 
 # the toy key's plain map b*f1, and both maps masked under R1 = 4267, R2 = 6475
