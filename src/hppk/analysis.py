@@ -49,7 +49,8 @@ _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 # unit) pairs, fixed by the width alone so that every search at that width
 # shares one coprime grid per chunk.  A 14-bit chunk holds at most 55.7k coprime
 # pairs, 0.42 MiB as two int32 arrays, so the cache holds at most 7.7 MiB; the
-# 12 chunks of every width up to 10 bits fit in it together.
+# 12 chunks of every width up to 10 bits fit in it together, and a wider width
+# caches its first _UNIT_GRID_CACHE chunks.
 _RING_SEARCH_CHUNK = 1 << 16
 _UNIT_GRID_CACHE = 18  # chunks whose grids stay built
 
@@ -566,9 +567,22 @@ def _table_accepts(matrix, mods, units, params):
     the map is unmasked in one broadcast pass.
     """
     p = params.prime
-    flat = np.array(matrix, dtype=np.int32).reshape(-1, 1)
-    c0, c1, c2 = (flat * units % mods % p).reshape(3, len(matrix[0]), len(units))
-    columns = (c0 * p + c1) * p + c2
+    unmasked = np.array(matrix, dtype=np.int32).reshape(-1, 1) * units
+    unmasked %= mods
+    c0, c1, c2 = unmasked.reshape(3, len(matrix[0]), len(units))
+    # numpy takes an integer remainder one element at a time but vectorises
+    # floor division by a scalar, so each row is reduced as c - c // p * p.
+    # One row-sized buffer serves every step: a second map-sized temporary
+    # cost more than the division saved at 12 and 14 bits.
+    columns = np.empty_like(c0)
+    for c in (c0, c1, c2):
+        np.floor_divide(c, p, out=columns)
+        columns *= p
+        c -= columns
+    np.multiply(c0, p, out=columns)
+    columns += c1
+    columns *= p
+    columns += c2
     labels = np.bitwise_and.reduce(_root_exists_table(p)[columns], axis=0)
     return (labels != 0) & columns.any(axis=0)
 
@@ -583,18 +597,26 @@ def _scalar_accepts(matrix, mods, units, params):
     return np.array(accepted, dtype=bool)
 
 
-def _ring_options(mods, units, moduli):
+def _ring_options(mods, units, moduli, grid_mods):
     """Per modulus of moduli, the sorted inverses of its accepted units.
 
-    mods is ascending and holds every modulus of moduli.
+    mods is ascending and holds every modulus of moduli; grid_mods holds
+    each of them once per unit.  A modulus whose every unit is accepted
+    keeps its units in their ascending grid order: inversion permutes the
+    unit group, so no inverse is taken.
     """
     starts = np.searchsorted(mods, moduli).tolist()
     ends = np.searchsorted(mods, moduli, side="right").tolist()
+    grid_starts = np.searchsorted(grid_mods, moduli)
+    totals = (np.searchsorted(grid_mods, moduli, side="right") - grid_starts).tolist()
     units = units.tolist()
-    return [
-        tuple(sorted(batch_inverse(units[a:b], modulus)))
-        for modulus, a, b in zip(moduli, starts, ends)
-    ]
+    options = []
+    for modulus, a, b, total in zip(moduli, starts, ends, totals):
+        part = units[a:b]
+        if b - a < total:
+            part = sorted(batch_inverse(part, modulus))
+        options.append(tuple(part))
+    return options
 
 
 @cache
@@ -648,16 +670,27 @@ def ring_key_search(pk, params, s_bits):
 
     The (modulus, unit) pairs are scanned a chunk of consecutive moduli at
     a time.  The chunks depend on s_bits alone, about _RING_SEARCH_CHUNK
-    pairs each, and each chunk's grid of coprime pairs is built once per
+    pairs each.  The grids of coprime pairs of a width's first
+    _UNIT_GRID_CACHE chunks (every chunk up to 10 bits) are built once per
     process and kept in a bounded cache (at most 7.7 MiB, at 14 bits), so
-    searches at one width share their grids; a search skips the chunks
-    below its floor and cuts the one holding the floor.  Each chunk tests
-    the first map on every unit, then the second map only on the moduli
-    where the first accepted a unit; work counts the units tested.
-    Inverses are taken only for moduli both maps accept.  The shape picks
-    the unit test: for degree-1 factors over a degree-1 base and p <= 31,
-    one broadcast pass unmasks every entry of a map and reads a p^3 label
-    table; otherwise ratio recovery runs pair by pair.
+    searches at one width share them; later chunks are built per search.
+    A search skips the chunks below its floor and cuts the one holding the
+    floor.  Each chunk tests the first map on every unit, then the second
+    map only on the moduli where the first accepted a unit; work counts the
+    units tested.  The shape picks the unit test: for degree-1 factors over
+    a degree-1 base and p <= 31, one broadcast pass unmasks every entry of
+    a map and reads a p^3 label table; otherwise ratio recovery runs pair
+    by pair.
+
+    A candidate's options are the sorted inverses of the units its map
+    accepted, taken only for moduli both maps accept.  When a map accepts
+    every unit of a modulus, the options are those units in ascending
+    order, with no inversion, since inversion permutes the unit group.
+    That is the common case for a map with a zero row, which accepts
+    every unit, so the result lists nearly every unit of every candidate
+    modulus and its size bounds the search by memory: one 12-bit search
+    at p = 13 with 2 noise variables returned 4.1M options and peaked at
+    187 MiB RSS, and the count grows about 4-fold per extra bit.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")
@@ -677,11 +710,17 @@ def ring_key_search(pk, params, s_bits):
     first = bisect_right(bounds, low) - 1  # the chunk holding low, if any
     work = 0
     found = []
-    for start, stop in zip(bounds[first:], bounds[first + 1 :]):
-        mods, units = _unit_grid(start, stop)
+    for index in range(first, len(bounds) - 1):
+        start, stop = bounds[index], bounds[index + 1]
+        # only a width's first chunks enter the cache: a search walks its
+        # chunks in order, so caching every chunk of a wider width would evict
+        # each grid before the next search reaches it
+        grid = _unit_grid if index < _UNIT_GRID_CACHE else _unit_grid.__wrapped__
+        mods, units = grid(start, stop)
         start = max(start, low)
         cut = np.searchsorted(mods, start)
         mods, units = mods[cut:], units[cut:]
+        grid_mods = mods
         accepted = []
         for matrix in (pk.p1, pk.p2):
             work += len(units)
@@ -693,6 +732,6 @@ def ring_key_search(pk, params, s_bits):
             survives = hit[mods - start]
             mods, units = mods[survives], units[survives]
         both = (np.flatnonzero(hit) + start).tolist()
-        options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
+        options1, options2 = (_ring_options(m, u, both, grid_mods) for m, u in accepted)
         found += map(RingCandidate, both, options1, options2)
     return RingSearchResult(candidates=tuple(found), work=work)

@@ -425,6 +425,7 @@ RING_REFERENCE_CASES = {
     "p31-table": (31, 1, 3, 8, "ring-ref-p31-table", None),
     "floor-in-later-chunk": (13, 1, 2, 9, "ring-ref-floor-chunk-9", "floor-chunk"),
     "m5-table": (13, 1, 5, 8, "ring-ref-13-5", None),
+    "zero-row": (13, 1, 3, 7, "ring-ref-zero-row-1", "all-units"),
 }
 
 
@@ -454,6 +455,12 @@ def test_ring_search_matches_reference(case):
         # every unit is tested once, and again only where map 1 accepted one
         units = sum(1 for s in moduli for v in range(1, s) if math.gcd(v, s) == 1)
         assert work < 2 * units
+    if exercises == "all-units":
+        # map 2's row 0 is zero, so it accepts every unit of every candidate
+        assert not any(pk.p2[0]) and len(result.candidates) == 30
+        for c in result.candidates:
+            units = tuple(v for v in range(1, c.modulus) if math.gcd(v, c.modulus) == 1)
+            assert c.r2_options == units
 
 
 def test_ring_search_matches_reference_on_benchmark_shape():
@@ -478,6 +485,38 @@ def test_ring_search_reuses_each_width_grid():
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0
+
+
+def test_ring_search_caches_the_first_chunks_of_a_wide_width():
+    # an 11-bit search walks more chunks than the cache holds, and only its
+    # first chunks stay built for the next search at that width
+    _, pk = analysis.random_ring_instance(P13M3, 11, DeterministicStream(b"ring-grid-11"))
+    max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
+    assert max_entry < analysis._chunk_bounds(11)[1]
+    assert len(analysis._chunk_bounds(11)) - 1 > analysis._UNIT_GRID_CACHE
+    first = analysis.ring_key_search(pk, P13M3, 11)
+    for _ in range(2):
+        hits = analysis._unit_grid.cache_info().hits
+        assert analysis.ring_key_search(pk, P13M3, 11) == first
+        assert analysis._unit_grid.cache_info().hits > hits
+
+
+def test_table_accepts_matches_scalar_at_the_ring_cap():
+    # entries and units near 2^14 take the int32 products to about 2^28
+    params = ParameterSet(prime=31, base_degree=1, factor_degree=1, noise_vars=3,
+                          label="p31m3")
+    sk, pk = analysis.random_ring_instance(params, 9, DeterministicStream(b"ring-int32"))
+    plain = fhe.decrypt_coeffs(sk.key1, pk.p1, 31)
+    start, stop = analysis._chunk_bounds(14)[-2:]
+    mods, units = analysis._unit_grid.__wrapped__(start, stop)
+    mods, units = mods[-2000:], units[-2000:]
+    modulus, unmask = int(mods[1000]), int(units[1000])
+    matrix = fhe.encrypt_coeffs(fhe.HomomorphicKey(modulus, pow(unmask, -1, modulus)),
+                                plain)
+    assert max(c for row in matrix for c in row) > 1 << 13
+    table = analysis._table_accepts(matrix, mods, units, params)
+    assert table[1000]
+    assert (table == analysis._scalar_accepts(matrix, mods, units, params)).all()
 
 
 @pytest.mark.parametrize("s_bits", [0, 4])
