@@ -1,19 +1,18 @@
 """Desk-scale executable oracles for the security arguments.
 
 Everything here treats attacks as verification instruments: the mod-p
-view of a ciphertext, its normalization, Gaussian reduction to a single
-equation, exhaustive solution enumeration, the indistinguishability
-game, factor-ratio recovery from plain maps, and tiny hidden-ring key
-search.  Every enumeration carries an explicit search-space guard; none
-of this is a practical attack at production parameters, and the
-complexity claims are checked as growth trends, not absolute numbers.
+view of a ciphertext, exhaustive solution enumeration, the
+indistinguishability game, factor-ratio recovery from plain maps, and
+tiny hidden-ring key search.  Every enumeration carries an explicit
+search-space guard; none of this is a practical attack at production
+parameters, and the complexity claims are checked as growth trends, not
+absolute numbers.
 
-A system of congruences in the secret x and the noise is read one way:
-forms(x) fixes x and returns each congruence as a pair (noise
-coefficients, right-hand side), a linear form in the noise built by
-column_values.  The two-congruence ModPSystem and its one-congruence
-ReducedNormalForm both expose it, and checking, extending and
-enumerating solutions all go through it.
+The two public congruences in the secret x and the noise are read one
+way: ModPSystem.forms(x) fixes x and returns each congruence as a pair
+(noise coefficients, right-hand side), a linear form in the noise built
+by column_values.  Checking and enumerating solutions both go through
+it.
 
 A factor f is named by its label, f / f[-1] without the leading 1.  A
 column c of a plain map accepts the monic factor g of degree e <=
@@ -24,19 +23,14 @@ search's label table all apply this one rule.
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import mul
 
 import numpy as np
 
-from .block import build_plain_central_map, sample_keypair
-from .errors import (
-    EliminationFailed,
-    NoConsistentRatio,
-    SearchSpaceTooLarge,
-    ZeroRhs,
-)
+from .block import sample_keypair
+from .errors import NoConsistentRatio, SearchSpaceTooLarge
 from .modmath import batch_inverse, mod_inverse, solve_quadratic
 
 _BRUTE_FORCE_GUARD = 1 << 26
@@ -91,15 +85,8 @@ def _noise_solutions(forms, p, m):
             yield noise
 
 
-class _Congruences:
-    """A system read through forms(x); see the module docstring."""
-
-    def is_solution(self, x, noise):
-        return all(_dot(cols, noise, self.prime) == t for cols, t in self.forms(x))
-
-
 @dataclass(frozen=True)
-class ModPSystem(_Congruences):
+class ModPSystem:
     """Two congruences sum(coeffs[i][j] * x^i * noise_j) = rhs (mod prime)."""
 
     prime: int
@@ -118,16 +105,15 @@ class ModPSystem(_Congruences):
     def noise_vars(self):
         return len(self.coeffs1[0])
 
-    @property
-    def degree(self):
-        return len(self.coeffs1) - 1
-
     def forms(self, x):
         p = self.prime
         return (
             (column_values(self.coeffs1, x, p), self.rhs1),
             (column_values(self.coeffs2, x, p), self.rhs2),
         )
+
+    def is_solution(self, x, noise):
+        return all(_dot(cols, noise, self.prime) == t for cols, t in self.forms(x))
 
 
 def reduce_mod_p(pk, ct, prime):
@@ -141,136 +127,24 @@ def reduce_mod_p(pk, ct, prime):
     )
 
 
-def normalize_system(sys):
-    """Scale each congruence by the inverse of its right-hand side.
-
-    Raises ZeroRhs when either right-hand side is 0 mod p, where
-    normalization is undefined.
-    """
-    if sys.rhs1 == 0 or sys.rhs2 == 0:
-        raise ZeroRhs("right-hand side is 0 mod p")
-    p = sys.prime
-    u1 = mod_inverse(sys.rhs1, p)
-    u2 = mod_inverse(sys.rhs2, p)
-    return ModPSystem(
-        prime=p,
-        coeffs1=tuple(tuple(c * u1 % p for c in row) for row in sys.coeffs1),
-        rhs1=1,
-        coeffs2=tuple(tuple(c * u2 % p for c in row) for row in sys.coeffs2),
-        rhs2=1,
-    )
-
-
-# -- reduction to a single equation
-
-
-@dataclass(frozen=True)
-class ReducedNormalForm(_Congruences):
-    """Single equation H(x, remaining noise) - 1 = 0 over F_p.
-
-    H has no constant term: the elimination constant is scaled to -1 and
-    absorbed.  noise_coeffs[i][k] multiplies x^i times the k-th surviving
-    noise variable (source order with the eliminated one removed);
-    pure_coeffs[i] multiplies the bare power x^i (index 0 is always 0).
-    The source system and eliminated index are kept so solutions can be
-    mapped back.
-    """
-
-    prime: int
-    noise_coeffs: tuple
-    pure_coeffs: tuple
-    eliminated: int
-    source: ModPSystem = field(compare=False)
-
-    @property
-    def noise_vars(self):
-        return len(self.noise_coeffs[0])
-
-    def forms(self, x):
-        """H(x, noise) = 1 as the one form: noise part = 1 - H(x, 0)."""
-        p = self.prime
-        (pure,) = column_values([(c,) for c in self.pure_coeffs], x, p)
-        return ((column_values(self.noise_coeffs, x, p), (1 - pure) % p),)
-
-    def extend_solution(self, x, noise):
-        """Values of the eliminated variable completing (x, noise) in the source.
-
-        Both source congruences are linear in the eliminated variable;
-        returns every consistent value (all residues when both of its
-        coefficients vanish and the remainders agree).
-        """
-        p = self.prime
-        (a, rhs1), (b, rhs2) = self.source.forms(x)
-        e = self.eliminated
-        rest = list(noise)
-        rest[e:e] = [0]  # placeholder at the eliminated slot
-        d1 = (rhs1 - _dot(a, rest, p)) % p
-        d2 = (rhs2 - _dot(b, rest, p)) % p
-        if a[e] != 0:
-            t = d1 * mod_inverse(a[e], p) % p
-            return [t] if b[e] * t % p == d2 else []
-        if b[e] != 0:
-            t = d2 * mod_inverse(b[e], p) % p
-            return [t] if d1 == 0 else []
-        return list(range(p)) if d1 == 0 and d2 == 0 else []
-
-
-def reduce_to_single(sys):
-    """Eliminate one noise variable, producing the single-equation form.
-
-    Cross-multiplying the two congruences by each other's coefficient
-    polynomial for the chosen variable cancels it exactly; the surviving
-    constant is scaled to -1.  A variable is eliminable when it appears
-    in the second congruence and the combination leaves a nonzero
-    constant.  Raises EliminationFailed when no variable qualifies.
-    """
-    p = sys.prime
-    for e in range(sys.noise_vars):
-        a_e = [row[e] for row in sys.coeffs1]
-        b_e = [row[e] for row in sys.coeffs2]
-        constant = (sys.rhs2 * a_e[0] - sys.rhs1 * b_e[0]) % p
-        if not any(b_e) or constant == 0:
-            continue
-        # column j of the result is b_e * a_j - a_e * b_j over the columns j != e
-        cross, minus = (
-            build_plain_central_map([row[:e] + row[e + 1 :] for row in rows], col, p)
-            for rows, col in ((sys.coeffs1, b_e), (sys.coeffs2, a_e))
-        )
-        pure = [(sys.rhs2 * a - sys.rhs1 * b) % p for a, b in zip(a_e, b_e)]
-        pure[0] = 0  # the constant moves into the -1
-        pure += [0] * sys.degree
-        scale = mod_inverse(-constant % p, p)
-        return ReducedNormalForm(
-            prime=p,
-            noise_coeffs=tuple(
-                tuple((c - d) * scale % p for c, d in zip(crow, drow))
-                for crow, drow in zip(cross, minus)
-            ),
-            pure_coeffs=tuple(c * scale % p for c in pure),
-            eliminated=e,
-            source=sys,
-        )
-    raise EliminationFailed("no noise variable admits elimination")
-
-
 # -- exhaustive solving
 
 
-def brute_force_solutions(target):
-    """Every assignment (x, *noise) over F_p satisfying the system or
-    reduced form, as a tuple in lexicographic order.
+def brute_force_solutions(system):
+    """Every assignment (x, *noise) over F_p satisfying the system, as a
+    tuple in lexicographic order.
 
     The search space p**variables must stay at or below 2**26; larger
     requests raise SearchSpaceTooLarge.
     """
-    p = target.prime
-    m = target.noise_vars
+    p = system.prime
+    m = system.noise_vars
     if p ** (1 + m) > _BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(f"{p}**{1 + m} assignments exceed the guard")
     return tuple(
         (x, *noise)
         for x in range(p)
-        for noise in _noise_solutions(target.forms(x), p, m)
+        for noise in _noise_solutions(system.forms(x), p, m)
     )
 
 
@@ -686,11 +560,12 @@ def ring_key_search(pk, params, s_bits):
     accepted, taken only for moduli both maps accept.  When a map accepts
     every unit of a modulus, the options are those units in ascending
     order, with no inversion, since inversion permutes the unit group.
-    That is the common case for a map with a zero row, which accepts
-    every unit, so the result lists nearly every unit of every candidate
-    modulus and its size bounds the search by memory: one 12-bit search
-    at p = 13 with 2 noise variables returned 4.1M options and peaked at
-    187 MiB RSS, and the count grows about 4-fold per extra bit.
+    Every option is held as a Python int, so the option count bounds any
+    wide search by memory: one 14-bit search at p = 13 with 2 noise
+    variables and no zero row returned 10.0M options and peaked at
+    423 MiB RSS in 14.8 s.  A map with a zero row accepts every unit, so
+    the result then lists nearly every unit of every candidate modulus:
+    one such 12-bit search returned 4.1M options and peaked at 187 MiB.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")

@@ -51,14 +51,6 @@ class DecapsFailure(HppkError):
         self.cause = cause
 
 
-class ZeroRhs(HppkError):
-    """A ciphertext congruence has right-hand side 0 mod p; normalization undefined."""
-
-
-class EliminationFailed(HppkError):
-    """No noise variable could be eliminated from the two-congruence system."""
-
-
 class NoConsistentRatio(HppkError):
     """The given matrices are not consistent with any product-form factor ratio."""
 

@@ -4,12 +4,7 @@ import pytest
 
 from hppk import analysis, fhe
 from hppk.block import encrypt_block, keygen, keypair_from_values
-from hppk.errors import (
-    EliminationFailed,
-    NoConsistentRatio,
-    SearchSpaceTooLarge,
-    ZeroRhs,
-)
+from hppk.errors import NoConsistentRatio, SearchSpaceTooLarge
 from hppk.params import PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
@@ -51,79 +46,14 @@ def test_reduce_mod_p_zero_ciphertext(toy_params, toy_keypair):
     assert (sys_.rhs1, sys_.rhs2) == (0, 0)
 
 
-def test_normalize_system_toy(toy_params, toy_keypair, toy_block):
-    _, pk = toy_keypair
-    sys_ = analysis.reduce_mod_p(pk, toy_block, 13)
-    norm = analysis.normalize_system(sys_)
-    assert norm.rhs1 == norm.rhs2 == 1
-    # equation 2 is scaled by 11^-1 = 6 mod 13
-    assert norm.coeffs2[0][0] == sys_.coeffs2[0][0] * 6 % 13
-    # witnesses survive scaling
-    assert norm.is_solution(8, (3, 6))
-    assert analysis.normalize_system(norm) == norm  # idempotent
-
-
-def test_normalize_system_zero_rhs(toy_params, toy_keypair):
-    from hppk.block import BlockCiphertext
-
-    _, pk = toy_keypair
-    sys_ = analysis.reduce_mod_p(pk, BlockCiphertext(13, 192229), 13)
-    with pytest.raises(ZeroRhs):
-        analysis.normalize_system(sys_)
-
-
-# -- reduction to a single equation
-
-
-def test_reduce_to_single_arity(toy_params, toy_keypair, toy_block):
-    _, pk = toy_keypair
-    sys_ = analysis.reduce_mod_p(pk, toy_block, 13)
-    rnf = analysis.reduce_to_single(analysis.normalize_system(sys_))
-    assert rnf.noise_vars == 1  # one of two noise variables eliminated
-    assert rnf.pure_coeffs[0] == 0  # constant absorbed into the -1
-    witness_rest = (6,) if rnf.eliminated == 0 else (3,)
-    assert rnf.is_solution(8, witness_rest)
-    eliminated_value = 3 if rnf.eliminated == 0 else 6
-    assert rnf.extend_solution(8, witness_rest) == [eliminated_value]
-
-
-def test_reduce_to_single_requires_eliminable_variable():
-    sys_ = analysis.ModPSystem(
-        prime=5,
-        coeffs1=((1, 2), (3, 4)),
-        rhs1=1,
-        coeffs2=((0, 0), (0, 0)),
-        rhs2=1,
-    )
-    with pytest.raises(EliminationFailed):
-        analysis.reduce_to_single(sys_)
-
-
-P7M2 = ParameterSet(prime=7, base_degree=1, factor_degree=1, noise_vars=2,
-                    label="p7m2")
-
-
-@pytest.mark.parametrize("params", [P5M2, P7M2], ids=["p5", "p7"])
-def test_reduce_to_single_preserves_solutions_exhaustively(params):
-    # all solutions of the source extend from solutions of the reduction
-    rng = DeterministicStream(b"rnf-preserve" + params.label.encode())
-    checked = 0
-    while checked < 30:
-        sys_, _ = analysis.random_planted_system(params, rng)
-        try:
-            norm = analysis.normalize_system(sys_)
-            rnf = analysis.reduce_to_single(norm)
-        except (ZeroRhs, EliminationFailed):
-            continue
-        source_solutions = set(analysis.brute_force_solutions(norm))
-        extended = set()
-        for x, *rest in analysis.brute_force_solutions(rnf):
-            for value in rnf.extend_solution(x, tuple(rest)):
-                full = list(rest)
-                full[rnf.eliminated : rnf.eliminated] = [value]
-                extended.add((x, *full))
-        assert extended == source_solutions
-        checked += 1
+@pytest.mark.parametrize(
+    "rhs1, coeffs2, rhs2",
+    [(1, ((0, -1), (2, 3)), 4), (13, ((0, 1), (2, 3)), 4), (1, ((0, 1), (2, 3)), 13)],
+    ids=["negative-coefficient", "rhs1-equals-p", "rhs2-equals-p"],
+)
+def test_mod_p_system_rejects_unreduced_entries(rhs1, coeffs2, rhs2):
+    with pytest.raises(ValueError, match="reduced mod p"):
+        analysis.ModPSystem(13, ((1, 2), (3, 4)), rhs1, coeffs2, rhs2)
 
 
 # -- exhaustive solving
