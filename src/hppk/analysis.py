@@ -6,7 +6,10 @@ indistinguishability game, factor-ratio recovery from plain maps, and
 tiny hidden-ring key search.  Every enumeration carries an explicit
 search-space guard; none of this is a practical attack at production
 parameters, and the complexity claims are checked as growth trends, not
-absolute numbers.
+absolute numbers.  Factor-label recovery enumerates nothing: it finds
+the labels by gcd and root finding over F_p[t] (the poly_* helpers of
+modmath) at any prime, but it reads plain maps, which only the secret
+key unmasks.
 
 The two public congruences in the secret x and the noise are read one
 way: ModPSystem.forms(x) fixes x and returns each congruence as a pair
@@ -18,7 +21,7 @@ A factor f is named by its label, f / f[-1] without the leading 1.  A
 column c of a plain map accepts the monic factor g of degree e <=
 factor_degree when c's top factor_degree - e coefficients vanish and g
 divides the rest; ratio recovery, the scalar ring search and the ring
-search's label table all apply this one rule.
+search's label table all apply this one rule, through _map_labels.
 """
 
 import itertools
@@ -31,13 +34,21 @@ import numpy as np
 
 from .block import sample_keypair
 from .errors import NoConsistentRatio, SearchSpaceTooLarge
-from .modmath import batch_inverse, mod_inverse, solve_quadratic
+from .modmath import (
+    batch_inverse,
+    mod_inverse,
+    poly_divmod,
+    poly_gcd,
+    poly_powmod,
+    poly_roots,
+    poly_split,
+    poly_sub,
+    poly_trim,
+)
 
 _BRUTE_FORCE_GUARD = 1 << 26
 _LIKELIHOOD_GUARD = 1 << 20
 _RING_SEARCH_MAX_BITS = 14
-# largest p**factor_degree for exhaustive label scans
-_RATIO_SCAN_GUARD = {1: 1 << 14, 2: 1 << 22}
 _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 # A ring width's moduli fall into chunks of about _RING_SEARCH_CHUNK (modulus,
 # unit) pairs, fixed by the width alone so that every search at that width
@@ -303,59 +314,59 @@ def true_ratio(factor, prime):
     return tuple(c * lead % prime for c in factor[:-1])
 
 
-def _divides(label, column, prime):
-    """Whether the monic polynomial named by a label of length 1 or 2 divides
-    column: t + a when column(-a) = 0 (Horner), t^2 + a1*t + a0 by division
-    from the top, whose remainder's t coefficient is checked first.
+def _divisor_labels(g, e, prime):
+    """The labels of the monic degree-e divisors of a nonzero g.
+
+    For e = 0 the label is (); for e = 1 the labels name t - r for each
+    root r of g.  For e = 2 they name the products of two distinct roots,
+    the squares of double roots (checked by division) and the irreducible
+    quadratic factors of g, found in gcd(g, t^(p^2) - t) / gcd(g, t^p - t).
     """
-    if len(label) == 1:
-        value = 0
-        for c in reversed(column):
-            value = value * -label[0] + c
-        return value % prime == 0
-    a0, a1 = label
-    b0 = b1 = 0  # quotient coefficients, from the top
-    for c in column[:1:-1]:
-        b0, b1 = c - a1 * b0 - a0 * b1, b0
-    remainder_t = column[1] - a1 * b0 - a0 * b1
-    return remainder_t % prime == 0 and (column[0] - a0 * b0) % prime == 0
+    p = prime
+    if e == 0:
+        return {()}
+    roots = poly_roots(g, p)
+    if e == 1:
+        return {(-r % p,) for r in roots}
+    labels = {(r * s % p, -(r + s) % p) for r, s in itertools.combinations(roots, 2)}
+    for r in roots:
+        square = [r * r % p, -2 * r % p, 1]
+        if not poly_divmod(g, square, p)[1]:
+            labels.add(tuple(square[:2]))
+    if len(g) - 1 - len(roots) >= 2:  # room left for an irreducible quadratic
+        t = [0, 1]
+        frobenius = poly_powmod(t, p, g, p)
+        linear = poly_gcd(g, poly_sub(frobenius, t, p), p)
+        both = poly_gcd(g, poly_sub(poly_powmod(frobenius, p, g, p), t, p), p)
+        quadratics = poly_divmod(both, linear, p)[0]
+        labels.update(tuple(q[:2]) for q in poly_split(quadratics, 2, p))
+    return labels
 
 
 def _map_labels(columns, prime, base_degree, factor_degree):
     """The labels every live column accepts, by the rule of recover_f_ratio.
 
-    Degree-1 factors over a degree-1 base read their labels from the roots
-    of each column's quadratic, at any prime.  Every other shape scans the
-    labels, p <= 2**14 for degree-1 factors and p**2 <= 2**22 for degree 2.
+    A live column c of degree d has its top factor_degree - e coefficients
+    zero exactly when e >= d - base_degree, so the factor degrees e to try
+    run from the live columns' highest degree less base_degree up to
+    factor_degree.  Dropping zero top coefficients leaves a polynomial as
+    it is, so for each such e the monic degree-e factors dividing every
+    live column are the monic degree-e divisors of g, a gcd of the live
+    columns; the labels are theirs.
     """
     p = prime
-    live = [col for col in columns if any(col)]
+    live = [f for f in (poly_trim(col, p) for col in columns) if f]
     if not live:
         return set()  # a zero map has no product structure
-    if base_degree == factor_degree == 1:
-        roots = None
-        for c0, c1, c2 in live:
-            found = solve_quadratic(c2, c1, c0, p) if c1 or c2 else ()
-            roots = set(found) if roots is None else roots.intersection(found)
-            if not roots:
-                break
-        labels = {(-r % p,) for r in roots}
-        if not any(c2 for *_, c2 in live):
-            labels.add(())
-        return labels
-    if p**factor_degree > _RATIO_SCAN_GUARD[factor_degree]:
-        raise SearchSpaceTooLarge(f"label scan needs a smaller prime than {p}")
+    lowest = max(0, max(map(len, live)) - 1 - base_degree)
+    g = live[0]
+    for f in live[1:]:
+        if len(g) == 1:
+            break  # only constants divide every column
+        g = poly_gcd(g, f, p)
     labels = set()
-    for e in range(factor_degree + 1):
-        rest = len(live[0]) - (factor_degree - e)
-        if any(any(col[rest:]) for col in live):
-            continue  # some column is too high in degree for a factor of degree e
-        found = itertools.product(range(p), repeat=e)
-        if e:  # the constant factor, label (), divides every column
-            for col in live:
-                head = col[:rest]
-                found = [g for g in found if _divides(g, head, p)]
-        labels.update(found)
+    for e in range(lowest, factor_degree + 1):
+        labels |= _divisor_labels(g, e, p)
     return labels
 
 
@@ -368,9 +379,10 @@ def recover_f_ratio(plain1, plain2, params):
     live column c of the map accepts: c's top factor_degree - deg g
     coefficients vanish and g divides the rest.  A shorter label, such as
     () for a constant, fits only where the top coefficients of every live
-    column vanish.  The true factor's label is always a member.  Raises
-    NoConsistentRatio when a map admits no product structure, and
-    SearchSpaceTooLarge when a scanned shape's prime exceeds its bound.
+    column vanish.  The true factor's label is always a member.  The
+    labels come from gcd and root finding over F_p[t] (see _map_labels),
+    at any prime and factor degree.  Raises NoConsistentRatio when a map
+    admits no product structure.
     """
     shape = (params.prime, params.base_degree, params.factor_degree)
     out = []

@@ -10,12 +10,14 @@ capacity contract is enforced at construction and parsing boundaries
 with :func:`ensure_wide` instead of on every operation; the ring-size
 precondition guarantees intermediate values stay in range.
 
-No floating point is used anywhere in this module.  Nothing here is
-constant-time: operand-dependent timing is accepted, and timing side
-channels are out of scope for this artifact.
+The poly_* functions do arithmetic in F_p[t], for the factor-label rule
+of analysis.  No floating point is used anywhere in this module.
+Nothing here is constant-time: operand-dependent timing is accepted, and
+timing side channels are out of scope for this artifact.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 from .errors import CapacityExceeded, DegenerateEquation, NotCoprime
@@ -179,3 +181,118 @@ def solve_quadratic(a, b, c, p):
     inv_2a = mod_inverse(2 * a % p, p)
     xs = {(-b + s) * inv_2a % p for s in roots}
     return sorted(xs)
+
+
+# -- polynomials over F_p
+#
+# A polynomial is a list of coefficients from the constant term up, reduced
+# mod p and trimmed: its last entry is nonzero, and the zero polynomial is [].
+
+
+def poly_trim(f, p):
+    """f reduced mod p, without its zero top coefficients."""
+    f = [c % p for c in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def poly_sub(f, g, p):
+    """f - g."""
+    return poly_trim([a - b for a, b in zip_longest(f, g, fillvalue=0)], p)
+
+
+def poly_divmod(f, g, p):
+    """(q, r) with f = q*g + r and deg r < deg g, for a nonzero g."""
+    shift = len(f) - len(g) + 1
+    if shift <= 0:
+        return [], list(f)
+    r = list(f)
+    lead = 1 if g[-1] == 1 else mod_inverse(g[-1], p)
+    low = g[:-1]
+    q = [0] * shift
+    for i in range(shift - 1, -1, -1):
+        c = q[i] = r.pop() * lead % p
+        if c:
+            for j, b in enumerate(low, i):
+                r[j] = (r[j] - c * b) % p
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def poly_gcd(f, g, p):
+    """The monic gcd of f and g, not both zero."""
+    while g:
+        if len(g) == 1:
+            return [1]  # g is a nonzero constant
+        f, g = g, poly_divmod(f, g, p)[1]
+    lead = mod_inverse(f[-1], p)
+    return [c * lead % p for c in f]
+
+
+def poly_mulmod(f, g, m, p):
+    """f*g mod m, for a nonzero m."""
+    if not f or not g:
+        return []
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return poly_divmod(poly_trim(prod, p), m, p)[1]
+
+
+def poly_powmod(f, n, m, p):
+    """f**n mod m, for n >= 0 and m of degree at least 1."""
+    out = [1]
+    f = poly_divmod(f, m, p)[1]
+    while n:
+        if n & 1:
+            out = poly_mulmod(out, f, m, p)
+        n >>= 1
+        if n:
+            f = poly_mulmod(f, f, m, p)
+    return out
+
+
+def poly_split(f, d, p):
+    """The monic factors of f, a monic product of distinct irreducible
+    polynomials of degree d over F_p, p odd (Cantor-Zassenhaus).
+
+    The gcd of f with the probe (t + a)^((p^d - 1)/2) - 1, for a = 0, 1,
+    2, ..., keeps the factors h of f for which t + a is a nonzero square
+    mod h, in F_p[t]/(h) = F_(p^d).  The first probe whose gcd is a proper
+    divisor splits f, and each part is split again.  No draw is needed:
+    any two distinct factors differ at some a below p.  For d = 1 and
+    roots r1 != r2, the Jacobi sum sum_a chi((a + r1)(a + r2)) is -1, so
+    some a makes exactly one of a + r1, a + r2 a square.  For d = 2, t + a
+    is a square mod an irreducible q exactly when its norm q(-a) is a
+    square of F_p, and the Weil bound |sum_a chi(q1(-a) q2(-a))| <= 3
+    sqrt(p) < p gives such an a when p > 9; an exhaustive check of every
+    pair of irreducible quadratics at p <= 13 found none without one.
+    """
+    n = len(f) - 1
+    if n <= d:
+        return [f] if n else []
+    power = (p**d - 1) // 2
+    for a in range(p):
+        h = poly_gcd(f, poly_sub(poly_powmod([a, 1], power, f, p), [1], p), p)
+        if 0 < len(h) - 1 < n:
+            q = poly_divmod(f, h, p)[0]
+            return poly_split(h, d, p) + poly_split(q, d, p)
+    raise AssertionError(f"no probe below {p} splits {f}")
+
+
+def poly_roots(f, p):
+    """The distinct roots in F_p of a nonzero f, sorted ascending, p odd.
+
+    Up to degree 2 they come from solve_quadratic; above it, from the
+    linear factors of gcd(f, t^p - t), split by poly_split.
+    """
+    if len(f) == 1:
+        return []
+    if len(f) <= 3:
+        return solve_quadratic(f[2] if len(f) == 3 else 0, f[1], f[0], p)
+    t = [0, 1]
+    linear = poly_gcd(f, poly_sub(poly_powmod(t, p, f, p), t, p), p)
+    return sorted(-h[0] % p for h in poly_split(linear, 1, p))

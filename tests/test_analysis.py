@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -221,6 +222,101 @@ def test_recover_f_ratio_degree2():
         assert analysis.true_ratio(sk.f2, 257) in set2
 
 
+def _divides(label, column, prime):
+    """Whether the monic polynomial named by a label of length 1 or 2 divides
+    column: t + a when column(-a) = 0 (Horner), t^2 + a1*t + a0 by division
+    from the top, whose remainder's t coefficient is checked first.
+    """
+    if len(label) == 1:
+        value = 0
+        for c in reversed(column):
+            value = value * -label[0] + c
+        return value % prime == 0
+    a0, a1 = label
+    b0 = b1 = 0  # quotient coefficients, from the top
+    for c in column[:1:-1]:
+        b0, b1 = c - a1 * b0 - a0 * b1, b0
+    remainder_t = column[1] - a1 * b0 - a0 * b1
+    return remainder_t % prime == 0 and (column[0] - a0 * b0) % prime == 0
+
+
+def _scan_labels(columns, prime, base_degree, factor_degree):
+    """The labels of recover_f_ratio's rule found by trying all p^e labels of
+    each factor degree e: the reference for analysis._map_labels.
+    """
+    p = prime
+    live = [col for col in columns if any(col)]
+    if not live:
+        return set()
+    labels = set()
+    for e in range(factor_degree + 1):
+        rest = len(live[0]) - (factor_degree - e)
+        if any(any(col[rest:]) for col in live):
+            continue  # some column is too high in degree for a factor of degree e
+        found = itertools.product(range(p), repeat=e)
+        if e:  # the constant factor, label (), divides every column
+            for col in live:
+                head = col[:rest]
+                found = [g for g in found if _divides(g, head, p)]
+        labels.update(found)
+    return labels
+
+
+def _times(f, g, prime):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % prime
+    return out
+
+
+def _label_test_map(kind, rng, prime, base_degree, factor_degree):
+    """Two or three columns of the given kind, of degree base + factor degree."""
+    p = prime
+    width = base_degree + factor_degree + 1
+    count = 2 + rng.bits(1)
+
+    def draw(n):
+        return [rng.below(p) for _ in range(n)]
+
+    if kind == "uniform":
+        return [draw(width) for _ in range(count)]
+    if kind == "half-zero":
+        return [[c if rng.bits(1) else 0 for c in draw(width)] for _ in range(count)]
+    factor = draw(factor_degree) + [1 + rng.below(p - 1)]
+    if kind == "key":
+        return [_times(draw(base_degree + 1), factor, p) for _ in range(count)]
+    if kind == "single-live-column":
+        columns = [[0] * width for _ in range(count)]
+        columns[rng.below(count)] = _times(draw(base_degree + 1), factor, p)
+        return columns
+    # repeated-root: t - r divides the factor and every base column
+    linear = [-rng.below(p) % p, 1]
+    factor = _times(linear, draw(1) + [1], p) if factor_degree == 2 else linear
+    return [_times(_times(linear, draw(base_degree), p), factor, p)
+            for _ in range(count)]
+
+
+LABEL_TEST_KINDS = ("key", "uniform", "half-zero", "single-live-column",
+                    "repeated-root")
+
+
+def test_map_labels_match_the_scan():
+    rng = DeterministicStream(b"map-labels-scan")
+    nonempty = 0
+    for prime, base_degree, factor_degree, kind in itertools.product(
+        (5, 7, 13, 37, 251), (1, 2, 3), (1, 2), LABEL_TEST_KINDS
+    ):
+        shape = (prime, base_degree, factor_degree)
+        # a degree-2 scan at p = 251 tries 63001 labels per map
+        for _ in range(1 if prime == 251 and factor_degree == 2 else 6):
+            columns = _label_test_map(kind, rng, *shape)
+            expected = _scan_labels(columns, *shape)
+            assert analysis._map_labels(columns, *shape) == expected, (kind, shape, columns)
+            nonempty += bool(expected)
+    assert nonempty > 400
+
+
 # (len(set1), len(set2)) per map, or x for NoConsistentRatio, recorded
 # when labels were projective ratios (f1/f0 : 1); relabelling keeps each count
 PINNED_RATIO_COUNTS = {
@@ -270,11 +366,36 @@ def test_recover_f_ratio_counts_match_recorded(prime, base_degree):
     (2053, 1, 2),  # the first prime above 2^11, so p^2 > 2^22
 ])
 def test_recover_f_ratio_scan_bounds(prime, base_degree, factor_degree):
+    # primes just past the sizes an exhaustive label scan can afford
     params = ParameterSet(prime=prime, base_degree=base_degree,
                           factor_degree=factor_degree, noise_vars=2, label="bound")
     sk, pk = keygen(params, DeterministicStream(b"scan-bound"))
-    with pytest.raises(SearchSpaceTooLarge):
-        analysis.recover_f_ratio(*_plain_maps(sk, pk, prime), params)
+    found = analysis.recover_f_ratio(*_plain_maps(sk, pk, prime), params)
+    true = ({analysis.true_ratio(sk.f1, prime)}, {analysis.true_ratio(sk.f2, prime)})
+    recorded = {16411: ({(7111,)}, {(14985,)}), 2053: ({(393, 957)}, {(229, 1639)})}
+    assert found == true == recorded[prime]
+
+
+PRODUCTION_PRIME = (1 << 64) - 59
+PRODUCTION_SHAPES = {
+    label: PARAMETER_SETS[label] for label in ("level1-nb2", "level3-nb2", "level5-nb2")
+}
+PRODUCTION_SHAPES["factor-degree-2"] = ParameterSet(
+    prime=PRODUCTION_PRIME, base_degree=2, factor_degree=2, noise_vars=3,
+    label="fr-deg2-64",
+)
+
+
+@pytest.mark.parametrize("label", list(PRODUCTION_SHAPES))
+def test_recover_f_ratio_at_the_production_prime(label):
+    params = PRODUCTION_SHAPES[label]
+    assert params.prime == PRODUCTION_PRIME
+    rng = DeterministicStream(f"fratio-64-{label}".encode())
+    for _ in range(5):
+        sk, pk = keygen(params, rng)
+        set1, set2 = analysis.recover_f_ratio(*_plain_maps(sk, pk, params.prime), params)
+        assert set1 == {analysis.true_ratio(sk.f1, params.prime)}
+        assert set2 == {analysis.true_ratio(sk.f2, params.prime)}
 
 
 def test_recover_f_ratio_scans_below_the_degree2_bound():

@@ -242,10 +242,8 @@ def test_attack_ringsearch_guard(capsys):
     ("--oracle", "bruteforce", "--instances", "-2"),
     ("--oracle", "fratio", "--instances", "0"),
     ("--oracle", "fratio", "--prime", "12"),
-    ("--oracle", "fratio", "--nb", "2", "--prime", "16411"),
 ], ids=["prime4", "noise1", "nb0", "sbits1", "sbits4", "p31-sbits5", "sbits300",
-        "trials0", "instances-2", "instances0", "fratio-prime12",
-        "fratio-scan-bound"])
+        "trials0", "instances-2", "instances0", "fratio-prime12"])
 def test_attack_rejected_arguments_are_usage_errors(capsys, argv):
     code, out, err = _run(capsys, "attack", *argv)
     assert code == 1
@@ -307,6 +305,14 @@ RECORDED_ATTACK_ROWS = {
          ["0", "251", "2", "2", "True"],
          ["1", "251", "2", "2", "True"],
          ["2", "251", "2", "2", "True"]],
+    ),
+    "fratio-nb2-production-prime": (
+        ("--oracle", "fratio", "--nb", "2", "--prime", "18446744073709551557",
+         "--noise", "3", "--instances", "3", "--seed", "1901"),
+        [["instance", "p", "m", "candidates", "ratio_found"],
+         ["0", "18446744073709551557", "3", "2", "True"],
+         ["1", "18446744073709551557", "3", "2", "True"],
+         ["2", "18446744073709551557", "3", "2", "True"]],
     ),
     "indcpa-likelihood": (
         ("--oracle", "indcpa", "--adversary", "likelihood", "--noise", "3",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -10,6 +11,13 @@ from hppk.modmath import (
     ensure_wide,
     is_prime_64,
     mod_inverse,
+    poly_divmod,
+    poly_gcd,
+    poly_mulmod,
+    poly_roots,
+    poly_split,
+    poly_sub,
+    poly_trim,
     solve_linear,
     solve_quadratic,
     sqrt_mod,
@@ -162,3 +170,67 @@ def test_is_prime_64_matches_trial_division():
 def test_is_prime_64_rejects_out_of_range():
     with pytest.raises(ValueError):
         is_prime_64(1 << 64)
+
+
+# -- polynomials over F_p
+
+
+def _mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out, p)
+
+
+def _evaluate(f, x, p):
+    value = 0
+    for c in reversed(f):
+        value = (value * x + c) % p
+    return value
+
+
+@pytest.mark.parametrize("p", [3, 13, 251])
+def test_poly_divmod_gcd_and_mulmod_identities(p):
+    rng = random.Random(p)
+
+    def draw(n):
+        return poly_trim([rng.randrange(p) for _ in range(n)], p)
+
+    for _ in range(200):
+        f, g, common = draw(rng.randrange(8)), draw(rng.randrange(1, 6)), draw(3)
+        if not g or not common:
+            continue
+        q, r = poly_divmod(f, g, p)
+        assert len(r) < len(g) and r == poly_trim(r, p)
+        assert poly_sub(f, _mul(q, g, p), p) == r
+        h = poly_gcd(_mul(f, common, p), _mul(g, common, p), p)
+        assert h[-1] == 1
+        assert poly_divmod(h, common, p)[1] == []
+        assert poly_divmod(_mul(g, common, p), h, p)[1] == []
+        assert poly_divmod(_mul(f, common, p), h, p)[1] == []
+        assert poly_mulmod(f, common, g, p) == poly_divmod(_mul(f, common, p), g, p)[1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 37])
+def test_poly_roots_match_enumeration(p):
+    rng = random.Random(p)
+    for degree in range(7):
+        for _ in range(40):
+            f = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            expected = [x for x in range(p) if _evaluate(f, x, p) == 0]
+            assert poly_roots(f, p) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_poly_split_returns_the_factors_of_every_pair(p):
+    linear = [[a, 1] for a in range(p)]
+    irreducible = [
+        [a0, a1, 1] for a0 in range(p) for a1 in range(p)
+        if all(_evaluate([a0, a1, 1], x, p) for x in range(p))
+    ]
+    assert len(irreducible) == (p * p - p) // 2
+    for d, factors in ((1, linear), (2, irreducible)):
+        for f, g in itertools.combinations(factors, 2):
+            split = poly_split(_mul(f, g, p), d, p)
+            assert sorted(split) == sorted([f, g])
