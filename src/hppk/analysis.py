@@ -35,7 +35,6 @@ import numpy as np
 from .block import sample_keypair
 from .errors import NoConsistentRatio, SearchSpaceTooLarge
 from .modmath import (
-    batch_inverse,
     mod_inverse,
     poly_divmod,
     poly_gcd,
@@ -53,9 +52,9 @@ _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 # A ring width's moduli fall into chunks of about _RING_SEARCH_CHUNK (modulus,
 # unit) pairs, fixed by the width alone so that every search at that width
 # shares one coprime grid per chunk.  A 14-bit chunk holds at most 55.7k coprime
-# pairs, 0.42 MiB as two int32 arrays, so the cache holds at most 7.7 MiB; the
-# 12 chunks of every width up to 10 bits fit in it together, and a wider width
-# caches its first _UNIT_GRID_CACHE chunks.
+# pairs, 0.64 MiB as three int32 arrays (moduli, units, inverses), so the cache
+# holds at most 11.5 MiB; the 12 chunks of every width up to 10 bits fit in it
+# together, and a wider width caches its first _UNIT_GRID_CACHE chunks.
 _RING_SEARCH_CHUNK = 1 << 16
 _UNIT_GRID_CACHE = 18  # chunks whose grids stay built
 
@@ -483,26 +482,16 @@ def _scalar_accepts(matrix, mods, units, params):
     return np.array(accepted, dtype=bool)
 
 
-def _ring_options(mods, units, moduli, grid_mods):
-    """Per modulus of moduli, the sorted inverses of its accepted units.
+def _ring_options(mods, units, moduli):
+    """Per modulus of moduli, the tuple of its entries in units.
 
-    mods is ascending and holds every modulus of moduli; grid_mods holds
-    each of them once per unit.  A modulus whose every unit is accepted
-    keeps its units in their ascending grid order: inversion permutes the
-    unit group, so no inverse is taken.
+    mods is ascending and holds every modulus of moduli, and units ascend
+    within each modulus, as the grid holds them.
     """
     starts = np.searchsorted(mods, moduli).tolist()
     ends = np.searchsorted(mods, moduli, side="right").tolist()
-    grid_starts = np.searchsorted(grid_mods, moduli)
-    totals = (np.searchsorted(grid_mods, moduli, side="right") - grid_starts).tolist()
     units = units.tolist()
-    options = []
-    for modulus, a, b, total in zip(moduli, starts, ends, totals):
-        part = units[a:b]
-        if b - a < total:
-            part = sorted(batch_inverse(part, modulus))
-        options.append(tuple(part))
-    return options
+    return [tuple(units[a:b]) for a, b in zip(starts, ends)]
 
 
 @cache
@@ -522,20 +511,47 @@ def _chunk_bounds(s_bits):
 @lru_cache(maxsize=_UNIT_GRID_CACHE)
 def _unit_grid(start, stop):
     """Every (modulus, unit) pair with start <= modulus < stop and the unit
-    prime to it, in ascending order, as two read-only int32 arrays.
+    prime to it, in ascending order, and each unit's inverse, as three
+    read-only int32 arrays (mods, units, inverses).
+
+    Each modulus m is factored by trial division, and the multiples of each
+    prime factor are struck from its units 1..m-1 with one strided slice.
+    The inverse of a unit u is u^(phi(m) - 1) mod m, by Euler's theorem.
     """
-    # int32 holds every product unit * entry (below 2^28 under the cap) and
-    # divides faster than int64
+    # int32 holds every product of two residues (below 2^28 under the cap)
+    # and divides faster than int64
     chunk = np.arange(start, stop, dtype=np.int32)
     sizes = chunk - 1
-    mods = np.repeat(chunk, sizes)
     offsets = np.cumsum(sizes, dtype=np.int32) - sizes
-    units = np.arange(1, len(mods) + 1, dtype=np.int32) - np.repeat(offsets, sizes)
-    coprime = np.gcd(units, mods) == 1
-    mods, units = mods[coprime], units[coprime]
-    for a in (mods, units):
+    keep = np.ones(int(sizes.sum()), dtype=bool)
+    phis = []
+    for m, off in zip(range(start, stop), offsets.tolist()):
+        phi, n, q = m, m, 2
+        while q * q <= n:
+            if n % q == 0:
+                keep[off + q - 1 : off + m - 1 : q] = False
+                phi -= phi // q
+                while n % q == 0:
+                    n //= q
+            q += 1
+        if n > 1:
+            keep[off + n - 1 : off + m - 1 : n] = False
+            phi -= phi // n
+        phis.append(phi)
+    mods = np.repeat(chunk, phis)
+    units = (np.arange(1, len(keep) + 1, dtype=np.int32) - np.repeat(offsets, sizes))[keep]
+    exponents = np.repeat(np.array(phis, dtype=np.int32) - 1, phis)
+    inverses = np.ones_like(units)
+    product = np.empty_like(units)
+    for bit in reversed(range((max(phis) - 1).bit_length())):  # square and multiply
+        inverses *= inverses
+        inverses %= mods
+        np.multiply(inverses, units, out=product)
+        product %= mods
+        np.copyto(inverses, product, where=(exponents >> bit & 1).astype(bool))
+    for a in (mods, units, inverses):
         a.flags.writeable = False  # one cached grid is shared by every search
-    return mods, units
+    return mods, units, inverses
 
 
 def ring_key_search(pk, params, s_bits):
@@ -556,10 +572,12 @@ def ring_key_search(pk, params, s_bits):
 
     The (modulus, unit) pairs are scanned a chunk of consecutive moduli at
     a time.  The chunks depend on s_bits alone, about _RING_SEARCH_CHUNK
-    pairs each.  The grids of coprime pairs of a width's first
-    _UNIT_GRID_CACHE chunks (every chunk up to 10 bits) are built once per
-    process and kept in a bounded cache (at most 7.7 MiB, at 14 bits), so
-    searches at one width share them; later chunks are built per search.
+    pairs each.  A chunk's grid lists its coprime pairs (S, R) in ascending
+    order with each R^-1, built from each modulus's prime factors.  The
+    grids of a width's first _UNIT_GRID_CACHE chunks (every chunk up to
+    10 bits) are built once per process and kept in a bounded cache (at
+    most 11.5 MiB, at 14 bits), so searches at one width share them; later
+    chunks are built per search.
     A search skips the chunks below its floor and cuts the one holding the
     floor.  Each chunk tests the first map on every unit, then the second
     map only on the moduli where the first accepted a unit; work counts the
@@ -568,16 +586,16 @@ def ring_key_search(pk, params, s_bits):
     a map and reads a p^3 label table; otherwise ratio recovery runs pair
     by pair.
 
-    A candidate's options are the sorted inverses of the units its map
-    accepted, taken only for moduli both maps accept.  When a map accepts
-    every unit of a modulus, the options are those units in ascending
-    order, with no inversion, since inversion permutes the unit group.
+    A candidate's options are the values R, ascending, whose inverse its
+    map accepted, taken only for moduli both maps accept.  They are sliced
+    from the grid, so nothing is inverted or sorted during a search.
     Every option is held as a Python int, so the option count bounds any
     wide search by memory: one 14-bit search at p = 13 with 2 noise
-    variables and no zero row returned 10.0M options and peaked at
-    423 MiB RSS in 14.8 s.  A map with a zero row accepts every unit, so
-    the result then lists nearly every unit of every candidate modulus:
-    one such 12-bit search returned 4.1M options and peaked at 187 MiB.
+    variables, no zero row and all 8192 moduli searched returned 16.9M
+    options, peaked at 691 MiB RSS and took 15 s.  A map with a zero row
+    accepts every unit, so the result then lists nearly every unit of every
+    candidate modulus: one such 12-bit search returned 4.1M options and
+    peaked at 187 MiB.
     """
     if s_bits > _RING_SEARCH_MAX_BITS:
         raise SearchSpaceTooLarge(f"ring search capped at {_RING_SEARCH_MAX_BITS} bits")
@@ -603,22 +621,21 @@ def ring_key_search(pk, params, s_bits):
         # chunks in order, so caching every chunk of a wider width would evict
         # each grid before the next search reaches it
         grid = _unit_grid if index < _UNIT_GRID_CACHE else _unit_grid.__wrapped__
-        mods, units = grid(start, stop)
+        mods, units, inverses = grid(start, stop)
         start = max(start, low)
         cut = np.searchsorted(mods, start)
-        mods, units = mods[cut:], units[cut:]
-        grid_mods = mods
+        mods, units, inverses = mods[cut:], units[cut:], inverses[cut:]
         accepted = []
         for matrix in (pk.p1, pk.p2):
             work += len(units)
-            ok = accepts(matrix, mods, units, params)
+            ok = accepts(matrix, mods, inverses, params)
             accepted.append((mods[ok], units[ok]))
             # the next map is tested only where this one accepted a unit
             hit = np.zeros(stop - start, dtype=bool)
             hit[mods[ok] - start] = True
             survives = hit[mods - start]
-            mods, units = mods[survives], units[survives]
+            mods, units, inverses = mods[survives], units[survives], inverses[survives]
         both = (np.flatnonzero(hit) + start).tolist()
-        options1, options2 = (_ring_options(m, u, both, grid_mods) for m, u in accepted)
+        options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
         found += map(RingCandidate, both, options1, options2)
     return RingSearchResult(candidates=tuple(found), work=work)

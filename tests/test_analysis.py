@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hppk import analysis, fhe
@@ -398,9 +399,9 @@ def test_recover_f_ratio_at_the_production_prime(label):
         assert set2 == {analysis.true_ratio(sk.f2, params.prime)}
 
 
-def test_recover_f_ratio_scans_below_the_degree2_bound():
-    # 2039 is the largest prime with p^2 <= 2^22, so the labels are scanned;
-    # t^3 + t + 5 has no root mod 2039, so no quadratic divides it either
+def test_recover_f_ratio_finds_no_quadratic_divisor_of_a_rootless_cubic():
+    # t^3 + t + 5 has no root mod 2039, so no quadratic divides it either:
+    # a cubic with a quadratic factor has the linear cofactor's root
     params = ParameterSet(prime=2039, base_degree=1, factor_degree=2,
                           noise_vars=2, label="bound")
     irreducible = ((5, 0), (1, 0), (0, 0), (1, 0))
@@ -439,7 +440,10 @@ def test_ring_search_work_grows_with_ring_bits(toy_params):
 
 
 def _reference_ring_search(pk, params, s_bits):
-    """(candidates, work) with every unit tested by recover_f_ratio on its unmasking."""
+    """(candidates, work) with every unit tested on its unmasking by the rule of
+    recover_f_ratio: some label fits every live column.
+    """
+    shape = (params.prime, params.base_degree, params.factor_degree)
     max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
     work = 0
     found = []
@@ -452,11 +456,8 @@ def _reference_ring_search(pk, params, s_bits):
             for v in units:
                 key = fhe.HomomorphicKey(modulus, pow(v, -1, modulus))
                 plain = fhe.decrypt_coeffs(key, matrix, params.prime)
-                try:
-                    analysis.recover_f_ratio(plain, plain, params)
-                except NoConsistentRatio:
-                    continue
-                kept.append(key.mult)
+                if analysis._map_labels(zip(*plain), *shape):
+                    kept.append(key.mult)
             if not kept:
                 break
             options.append(tuple(sorted(kept)))
@@ -532,7 +533,9 @@ def test_ring_search_reuses_each_width_grid():
     hits = analysis._unit_grid.cache_info().hits
     assert analysis.ring_key_search(pk8, P13M3, 8) == first
     assert analysis._unit_grid.cache_info().hits > hits
-    for grid in analysis._unit_grid(*analysis._chunk_bounds(8)):
+    grids = analysis._unit_grid(*analysis._chunk_bounds(8))
+    assert len(grids) == 3
+    for grid in grids:
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 0
@@ -559,15 +562,38 @@ def test_table_accepts_matches_scalar_at_the_ring_cap():
     sk, pk = analysis.random_ring_instance(params, 9, DeterministicStream(b"ring-int32"))
     plain = fhe.decrypt_coeffs(sk.key1, pk.p1, 31)
     start, stop = analysis._chunk_bounds(14)[-2:]
-    mods, units = analysis._unit_grid.__wrapped__(start, stop)
-    mods, units = mods[-2000:], units[-2000:]
-    modulus, unmask = int(mods[1000]), int(units[1000])
-    matrix = fhe.encrypt_coeffs(fhe.HomomorphicKey(modulus, pow(unmask, -1, modulus)),
-                                plain)
+    mods, units, inverses = analysis._unit_grid.__wrapped__(start, stop)
+    mods, units, inverses = mods[-2000:], units[-2000:], inverses[-2000:]
+    modulus, mult = int(mods[1000]), int(units[1000])
+    matrix = fhe.encrypt_coeffs(fhe.HomomorphicKey(modulus, mult), plain)
     assert max(c for row in matrix for c in row) > 1 << 13
-    table = analysis._table_accepts(matrix, mods, units, params)
+    table = analysis._table_accepts(matrix, mods, inverses, params)
     assert table[1000]
-    assert (table == analysis._scalar_accepts(matrix, mods, units, params)).all()
+    assert (table == analysis._scalar_accepts(matrix, mods, inverses, params)).all()
+
+
+def _gcd_grid(start, stop):
+    """The (modulus, unit) grid of start <= modulus < stop, by one gcd per pair."""
+    chunk = np.arange(start, stop, dtype=np.int32)
+    sizes = chunk - 1
+    mods = np.repeat(chunk, sizes)
+    offsets = np.cumsum(sizes, dtype=np.int32) - sizes
+    units = np.arange(1, len(mods) + 1, dtype=np.int32) - np.repeat(offsets, sizes)
+    coprime = np.gcd(units, mods) == 1
+    return mods[coprime], units[coprime]
+
+
+@pytest.mark.parametrize("s_bits", range(5, 15))
+def test_unit_grid_matches_the_gcd_grid(s_bits):
+    bounds = analysis._chunk_bounds(s_bits)
+    for start, stop in {bounds[:2], bounds[-2:]}:
+        mods, units, inverses = analysis._unit_grid.__wrapped__(start, stop)
+        expected_mods, expected_units = _gcd_grid(start, stop)
+        assert mods.dtype == units.dtype == inverses.dtype == np.int32
+        assert np.array_equal(mods, expected_mods)
+        assert np.array_equal(units, expected_units)
+        assert ((0 < inverses) & (inverses < mods)).all()
+        assert (units.astype(np.int64) * inverses % mods == 1).all()
 
 
 @pytest.mark.parametrize("s_bits", [0, 4])
