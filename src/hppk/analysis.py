@@ -51,12 +51,19 @@ _RING_SEARCH_MAX_BITS = 14
 _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 # A ring width's moduli fall into chunks of about _RING_SEARCH_CHUNK (modulus,
 # unit) pairs, fixed by the width alone so that every search at that width
-# shares one coprime grid per chunk.  A 14-bit chunk holds at most 55.7k coprime
-# pairs, 0.64 MiB as three int32 arrays (moduli, units, inverses), so the cache
-# holds at most 11.5 MiB; the 12 chunks of every width up to 10 bits fit in it
-# together, and a wider width caches its first _UNIT_GRID_CACHE chunks.
+# shares one coprime grid per chunk.  A 14-bit chunk holds at most 55,690
+# coprime pairs, 0.64 MiB as three int32 arrays (moduli, units, inverses), so
+# the cache holds at most 11.5 MiB; the 12 chunks of every width up to 10 bits
+# fit in it together, and a wider width caches its first _UNIT_GRID_CACHE
+# chunks.  A cached grid also gets a residue table, one uint8 per pair and per
+# entry below its last modulus, when the table is no larger than that largest
+# grid: the 7-bit table takes 0.46 MiB and the 8-bit one would take 3.6 MiB, so
+# only widths up to 7 bits get one.  _RESIDUE_TABLE_CACHE tables, one per
+# (grid, prime), stay built: at most 2.6 MiB.
 _RING_SEARCH_CHUNK = 1 << 16
 _UNIT_GRID_CACHE = 18  # chunks whose grids stay built
+_RESIDUE_TABLE_BYTES = 12 * 55_690  # the largest grid's bytes
+_RESIDUE_TABLE_CACHE = 4
 
 
 # -- the mod-p view of one ciphertext block
@@ -444,32 +451,47 @@ def _root_exists_table(p):
     return table
 
 
-def _table_accepts(matrix, mods, units, params):
-    """Which pairs (mods[i], units[i]) give the cipher map a product structure.
+def _table_accepts(columns, p):
+    """Which pairs (S, V) give a cipher map a product structure.
 
-    A pair (S, V) is accepted when the live columns of (V * matrix mod S)
-    mod p share a label, read from the p^3 label table.  Every entry of
-    the map is unmasked in one broadcast pass.
+    columns holds, per column of the map, its three residue rows: entry i
+    of the row of a coefficient c is (c * V mod S) mod p for the i-th
+    tested pair, from a residue table or from _residue_row.  A pair is
+    accepted when the columns of its unmasking share a label, read from the
+    p^3 label table, and some column is live.
     """
-    p = params.prime
-    unmasked = np.array(matrix, dtype=np.int32).reshape(-1, 1) * units
-    unmasked %= mods
-    c0, c1, c2 = unmasked.reshape(3, len(matrix[0]), len(units))
-    # numpy takes an integer remainder one element at a time but vectorises
-    # floor division by a scalar, so each row is reduced as c - c // p * p.
-    # One row-sized buffer serves every step: a second map-sized temporary
-    # cost more than the division saved at 12 and 14 bits.
-    columns = np.empty_like(c0)
-    for c in (c0, c1, c2):
-        np.floor_divide(c, p, out=columns)
-        columns *= p
-        c -= columns
-    np.multiply(c0, p, out=columns)
-    columns += c1
-    columns *= p
-    columns += c2
-    labels = np.bitwise_and.reduce(_root_exists_table(p)[columns], axis=0)
-    return (labels != 0) & columns.any(axis=0)
+    masks = _root_exists_table(p)
+    labels = key = None
+    for r0, r1, r2 in columns:
+        if key is None:  # one key buffer serves every column
+            key = np.empty(len(r0), dtype=np.int16)  # keys stay below 31^3 = 29,791
+        np.multiply(r0, p, out=key, dtype=np.int16)
+        key += r1
+        key *= p
+        key += r2
+        # numpy gathers through an intp index about 3x faster than through a
+        # narrower one
+        column = masks[key.astype(np.intp)]
+        if labels is None:
+            labels = column
+        else:
+            labels &= column
+    # a live column has at most 2 roots, fewer than p, so only the zero
+    # column accepts every label, and a full mask marks a zero unmasking
+    return (labels != 0) & (labels != masks[0])
+
+
+def _residue_row(c, mods, inverses, p):
+    """(c * inverses mod mods) mod p, as int32."""
+    # int32 holds every product c * V (below 2^28 under the cap); numpy takes
+    # an integer remainder one element at a time but vectorises floor division
+    # by a scalar, so the row is reduced mod p as r - r // p * p
+    row = c * inverses
+    row %= mods
+    quotient = row // p
+    quotient *= p
+    row -= quotient
+    return row
 
 
 def _scalar_accepts(matrix, mods, units, params):
@@ -554,6 +576,23 @@ def _unit_grid(start, stop):
     return mods, units, inverses
 
 
+@lru_cache(maxsize=_RESIDUE_TABLE_CACHE)
+def _residue_table(start, stop, p):
+    """Row c holds (c * V mod S) mod p for every pair (S, V) of the grid
+    (start, stop), for 0 <= c < stop, as one read-only uint8 array.
+
+    A searched modulus exceeds every public entry, so the entries of a
+    search over this grid are all below stop.  The table is built a row at
+    a time, so no table-sized temporary is made.
+    """
+    mods, _, inverses = _unit_grid(start, stop)
+    table = np.empty((stop, len(mods)), dtype=np.uint8)
+    for c, row in enumerate(table):
+        row[:] = _residue_row(c, mods, inverses, p)
+    table.flags.writeable = False  # one cached table is shared by every search
+    return table
+
+
 def ring_key_search(pk, params, s_bits):
     """Enumerate (S, R1, R2) triples that reproduce a product structure.
 
@@ -568,7 +607,9 @@ def ring_key_search(pk, params, s_bits):
     exceeds p and the true key's unmasking is the plain map itself; under
     that condition the true key is always present, usually among many
     indistinguishable companions.  Narrower rings raise ValueError, and
-    s_bits is capped at 14.
+    s_bits is capped at 14.  A negative public entry raises ValueError: the
+    entries are residues mod S.  An entry of 2^s_bits or more leaves no
+    modulus to search, and the result is empty.
 
     The (modulus, unit) pairs are scanned a chunk of consecutive moduli at
     a time.  The chunks depend on s_bits alone, about _RING_SEARCH_CHUNK
@@ -582,9 +623,14 @@ def ring_key_search(pk, params, s_bits):
     floor.  Each chunk tests the first map on every unit, then the second
     map only on the moduli where the first accepted a unit; work counts the
     units tested.  The shape picks the unit test: for degree-1 factors over
-    a degree-1 base and p <= 31, one broadcast pass unmasks every entry of
-    a map and reads a p^3 label table; otherwise ratio recovery runs pair
-    by pair.
+    a degree-1 base and p <= 31, each entry of a map is unmasked mod p into
+    a residue row over the tested pairs and the rows read a p^3 label table
+    (_table_accepts); otherwise ratio recovery runs pair by pair.  A cached
+    grid whose residue table fits in _RESIDUE_TABLE_BYTES (every width up to
+    7 bits) gets one on the first search that needs it, holding the row of
+    every entry a search can meet: the first map reads its rows as slices of
+    the table and the second as gathers at its pairs.  Other grids compute
+    each row per search.
 
     A candidate's options are the values R, ascending, whose inverse its
     map accepted, taken only for moduli both maps accept.  They are sliced
@@ -603,14 +649,14 @@ def ring_key_search(pk, params, s_bits):
         raise ValueError(
             f"ring search needs more than the prime's {params.prime_bits} bits"
         )
+    entries = [c for m in (pk.p1, pk.p2) for row in m for c in row]
+    if min(entries) < 0:
+        raise ValueError("ring search needs non-negative public entries")
     p = params.prime
-    if params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME:
-        accepts = _table_accepts
-    else:
-        accepts = _scalar_accepts
-    max_entry = max(max(max(row) for row in m) for m in (pk.p1, pk.p2))
+    # the p^3 label table serves degree-1 factors over a degree-1 base
+    labelled = params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME
     high = 1 << s_bits
-    low = min(max(high >> 1, max_entry + 1), high)
+    low = min(max(high >> 1, max(entries) + 1), high)
     bounds = _chunk_bounds(s_bits)
     first = bisect_right(bounds, low) - 1  # the chunk holding low, if any
     work = 0
@@ -620,21 +666,35 @@ def ring_key_search(pk, params, s_bits):
         # only a width's first chunks enter the cache: a search walks its
         # chunks in order, so caching every chunk of a wider width would evict
         # each grid before the next search reaches it
-        grid = _unit_grid if index < _UNIT_GRID_CACHE else _unit_grid.__wrapped__
-        mods, units, inverses = grid(start, stop)
-        start = max(start, low)
-        cut = np.searchsorted(mods, start)
-        mods, units, inverses = mods[cut:], units[cut:], inverses[cut:]
+        cached = index < _UNIT_GRID_CACHE
+        mods, units, inverses = (_unit_grid if cached else _unit_grid.__wrapped__)(start, stop)
+        table = None
+        if labelled and cached and stop * len(mods) <= _RESIDUE_TABLE_BYTES:
+            table = _residue_table(start, stop, p)
+        cut = int(np.searchsorted(mods, max(start, low)))
+        at = slice(cut, None)  # the grid's pairs the map is tested on
         accepted = []
         for matrix in (pk.p1, pk.p2):
-            work += len(units)
-            ok = accepts(matrix, mods, inverses, params)
-            accepted.append((mods[ok], units[ok]))
-            # the next map is tested only where this one accepted a unit
+            if accepted:
+                # the second map is tested only on the moduli where the first
+                # accepted a unit
+                at = np.flatnonzero(hit[tested - start]) + cut
+            tested = mods[at]
+            work += len(tested)
+            if not labelled:
+                ok = _scalar_accepts(matrix, tested, inverses[at], params)
+            elif table is not None:
+                # table[c][at] gathers about 3x faster than table[c, at]
+                ok = _table_accepts(([table[c][at] for c in col] for col in zip(*matrix)), p)
+            else:
+                v = inverses[at]
+                ok = _table_accepts(
+                    ([_residue_row(c, tested, v, p) for c in col] for col in zip(*matrix)), p
+                )
+            ok_mods = tested[ok]
+            accepted.append((ok_mods, units[at][ok]))
             hit = np.zeros(stop - start, dtype=bool)
-            hit[mods[ok] - start] = True
-            survives = hit[mods - start]
-            mods, units, inverses = mods[survives], units[survives], inverses[survives]
+            hit[ok_mods - start] = True
         both = (np.flatnonzero(hit) + start).tolist()
         options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
         found += map(RingCandidate, both, options1, options2)

@@ -76,8 +76,12 @@ def batch_inverse(values, m):
     return out
 
 
+@lru_cache(maxsize=32)
 def is_prime_64(n):
-    """Deterministic primality for 0 <= n < 2**64."""
+    """Deterministic primality for 0 <= n < 2**64.
+
+    Memoized: every profile on a prime checks it once per process.
+    """
     if n < 0 or n >= 1 << 64:
         raise ValueError("is_prime_64 expects an unsigned 64-bit integer")
     if n < 2:

@@ -72,10 +72,11 @@ class _ByteSource:
         out = []
         while len(out) < count:
             buf = self.take_bytes((count - len(out)) * width)
-            draws = [
-                int.from_bytes(buf[i : i + width], "little") & mask
-                for i in range(0, len(buf), width)
-            ]
+            # one conversion per pass, then a shift per value: the shifts grow
+            # with the square of the pass, but over the few dozen values a
+            # caller draws they cost less than a slice and a conversion each
+            whole = int.from_bytes(buf, "little")
+            draws = [whole >> i & mask for i in range(0, 8 * len(buf), 8 * width)]
             out += [v for v in draws if v < n]
         return out
 

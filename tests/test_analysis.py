@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -556,20 +557,88 @@ def test_ring_search_caches_the_first_chunks_of_a_wide_width():
 
 
 def test_table_accepts_matches_scalar_at_the_ring_cap():
-    # entries and units near 2^14 take the int32 products to about 2^28
+    # entries and units near 2^14 take the int32 products to about 2^28; a
+    # 14-bit grid has no residue table, so its rows are computed per search
     params = ParameterSet(prime=31, base_degree=1, factor_degree=1, noise_vars=3,
                           label="p31m3")
     sk, pk = analysis.random_ring_instance(params, 9, DeterministicStream(b"ring-int32"))
     plain = fhe.decrypt_coeffs(sk.key1, pk.p1, 31)
     start, stop = analysis._chunk_bounds(14)[-2:]
     mods, units, inverses = analysis._unit_grid.__wrapped__(start, stop)
+    assert stop * len(mods) > analysis._RESIDUE_TABLE_BYTES
     mods, units, inverses = mods[-2000:], units[-2000:], inverses[-2000:]
     modulus, mult = int(mods[1000]), int(units[1000])
     matrix = fhe.encrypt_coeffs(fhe.HomomorphicKey(modulus, mult), plain)
     assert max(c for row in matrix for c in row) > 1 << 13
-    table = analysis._table_accepts(matrix, mods, inverses, params)
+    columns = ([analysis._residue_row(c, mods, inverses, 31) for c in col]
+               for col in zip(*matrix))
+    table = analysis._table_accepts(columns, 31)
     assert table[1000]
     assert (table == analysis._scalar_accepts(matrix, mods, inverses, params)).all()
+
+
+@pytest.mark.parametrize("prime", [13, 31])
+def test_residue_table_rows_are_the_unmasked_residues(prime):
+    # every width that gets a table: above the prime's bits, up to 7 bits
+    for s_bits in range(prime.bit_length() + 1, 8):
+        start, stop = analysis._chunk_bounds(s_bits)
+        mods, _, inverses = analysis._unit_grid(start, stop)
+        assert stop * len(mods) <= analysis._RESIDUE_TABLE_BYTES
+        table = analysis._residue_table(start, stop, prime)
+        assert table.shape == (stop, len(mods)) and table.dtype == np.uint8
+        assert not table.flags.writeable
+        for c in range(stop):
+            expected = c * inverses.astype(np.int64) % mods % prime
+            assert np.array_equal(table[c], expected)
+
+
+def test_residue_tables_stop_at_7_bits():
+    # the 8-bit grid's table would take 3.6 MiB, above the largest grid
+    start, stop = analysis._chunk_bounds(8)[:2]
+    assert stop * len(analysis._unit_grid(start, stop)[0]) > analysis._RESIDUE_TABLE_BYTES
+    # drawing instances builds no table: the first search that reads one does
+    analysis._residue_table.cache_clear()
+    rng = DeterministicStream(b"ring-table-bound")
+    _, pk8 = analysis.random_ring_instance(P13M3, 8, rng)
+    _, pk7 = analysis.random_ring_instance(P13M3, 7, rng)
+    assert analysis._residue_table.cache_info().currsize == 0
+    analysis.ring_key_search(pk8, P13M3, 8)
+    assert analysis._residue_table.cache_info().currsize == 0
+    result = analysis.ring_key_search(pk7, P13M3, 7)
+    assert analysis._residue_table.cache_info().currsize == 1
+    assert analysis.ring_key_search(pk7, P13M3, 7) == result
+    assert analysis._residue_table.cache_info().hits == 1
+
+
+def test_ring_search_entries_outside_the_ring():
+    # a table has one row per entry below its grid's last modulus, and numpy
+    # wraps a negative index silently: a negative entry raises, and an entry
+    # of 2^s_bits or more leaves no modulus to search
+    _, pk = analysis.random_ring_instance(P13M3, 7, DeterministicStream(b"ring-entries"))
+    for entry, found in ((-1, None), (1 << 7, ((), 0)), (126, None)):
+        rows = (tuple(pk.p1[0][:-1]) + (entry,), *pk.p1[1:])
+        hostile = dataclasses.replace(pk, p1=rows)
+        if entry < 0:
+            with pytest.raises(ValueError, match="non-negative"):
+                analysis.ring_key_search(hostile, P13M3, 7)
+            continue
+        result = analysis.ring_key_search(hostile, P13M3, 7)
+        reference = _reference_ring_search(hostile, P13M3, 7)
+        assert (result.candidates, result.work) == reference
+        if found is not None:
+            assert reference == found
+        else:  # only S = 127 exceeds the entry, the highest row a search reads
+            assert 0 < result.work <= 2 * 126
+
+
+def test_ring_search_zero_map_accepts_no_pair():
+    # every column of a zero map accepts every label, yet a zero map has no
+    # product structure: the label table alone would accept it everywhere
+    _, pk = analysis.random_ring_instance(P13M3, 7, DeterministicStream(b"ring-zero-map"))
+    zero = dataclasses.replace(pk, p1=tuple((0,) * len(row) for row in pk.p1))
+    result = analysis.ring_key_search(zero, P13M3, 7)
+    assert (result.candidates, result.work) == _reference_ring_search(zero, P13M3, 7)
+    assert result.candidates == ()
 
 
 def _gcd_grid(start, stop):

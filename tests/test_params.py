@@ -88,3 +88,13 @@ def test_cached_sizes_stay_out_of_equality():
              a.block_count, a.coeff_bytes, a.value_bits, a.value_bytes)
     assert sizes == (64, 3, 16, 64, 4, 17, 208, 26)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_a_second_profile_on_a_prime_skips_its_primality_test():
+    from hppk.modmath import is_prime_64
+
+    ParameterSet(prime=65521, base_degree=1, factor_degree=1, noise_vars=2)
+    before = is_prime_64.cache_info()
+    ParameterSet(prime=65521, base_degree=2, factor_degree=1, noise_vars=3)
+    after = is_prime_64.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
