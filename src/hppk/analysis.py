@@ -11,17 +11,24 @@ the labels by gcd and root finding over F_p[t] (the poly_* helpers of
 modmath) at any prime, but it reads plain maps, which only the secret
 key unmasks.
 
-The two public congruences in the secret x and the noise are read one
-way: ModPSystem.forms(x) fixes x and returns each congruence as a pair
-(noise coefficients, right-hand side), a linear form in the noise built
-by column_values.  Checking and enumerating solutions both go through
-it.
+A public congruence in the secret x and the noise has one type: a
+ModPSystem holds any number of them, two for a ciphertext block and one
+for a round of the indistinguishability game.  ModPSystem.forms(x) fixes
+x and returns each congruence as a pair (noise coefficients, right-hand
+side), a linear form in the noise built by column_values; enumerating
+solutions and counting them both go through it.
 
 A factor f is named by its label, f / f[-1] without the leading 1.  A
 column c of a plain map accepts the monic factor g of degree e <=
 factor_degree when c's top factor_degree - e coefficients vanish and g
 divides the rest; ratio recovery, the scalar ring search and the ring
 search's label table all apply this one rule, through _map_labels.
+
+The ring search unmasks a public entry c one way, whatever the shape:
+_residue_row computes (c * V mod S) mod p over a row of (S, V) pairs,
+and narrow grids keep those rows in a residue table.  Both acceptance
+kernels read the rows: the p^3 label table for degree-1 shapes over
+small primes, _map_labels pair by pair for every other shape.
 """
 
 import itertools
@@ -58,8 +65,8 @@ _ROOT_TABLE_MAX_PRIME = 31  # vectorized ring search builds a p^3 root table
 # chunks.  A cached grid also gets a residue table, one uint8 per pair and per
 # entry below its last modulus, when the table is no larger than that largest
 # grid: the 7-bit table takes 0.46 MiB and the 8-bit one would take 3.6 MiB, so
-# only widths up to 7 bits get one.  _RESIDUE_TABLE_CACHE tables, one per
-# (grid, prime), stay built: at most 2.6 MiB.
+# only widths up to 7 bits get one, for every shape of map.
+# _RESIDUE_TABLE_CACHE tables, one per (grid, prime), stay built: at most 2.6 MiB.
 _RING_SEARCH_CHUNK = 1 << 16
 _UNIT_GRID_CACHE = 18  # chunks whose grids stay built
 _RESIDUE_TABLE_BYTES = 12 * 55_690  # the largest grid's bytes
@@ -104,44 +111,34 @@ def _noise_solutions(forms, p, m):
 
 @dataclass(frozen=True)
 class ModPSystem:
-    """Two congruences sum(coeffs[i][j] * x^i * noise_j) = rhs (mod prime)."""
+    """Congruences sum(coeffs[i][j] * x^i * noise_j) = rhs (mod prime), one
+    (coeffs, rhs) pair each; there must be at least one.
+    """
 
     prime: int
-    coeffs1: tuple
-    rhs1: int
-    coeffs2: tuple
-    rhs2: int
+    congruences: tuple
 
     def __post_init__(self):
-        entries = [c for m in (self.coeffs1, self.coeffs2) for row in m for c in row]
-        entries += [self.rhs1, self.rhs2]
-        if any(not 0 <= c < self.prime for c in entries):
-            raise ValueError("system entries must be reduced mod p")
+        if not self.congruences:
+            raise ValueError("a system needs at least one congruence")
+        for coeffs, rhs in self.congruences:
+            if any(not 0 <= c < self.prime for c in (rhs, *itertools.chain(*coeffs))):
+                raise ValueError("system entries must be reduced mod p")
 
     @property
     def noise_vars(self):
-        return len(self.coeffs1[0])
+        return len(self.congruences[0][0][0])
 
     def forms(self, x):
-        p = self.prime
-        return (
-            (column_values(self.coeffs1, x, p), self.rhs1),
-            (column_values(self.coeffs2, x, p), self.rhs2),
-        )
-
-    def is_solution(self, x, noise):
-        return all(_dot(cols, noise, self.prime) == t for cols, t in self.forms(x))
+        return tuple((column_values(c, x, self.prime), rhs) for c, rhs in self.congruences)
 
 
 def reduce_mod_p(pk, ct, prime):
     """View a public key and block ciphertext modulo the field prime."""
-    return ModPSystem(
-        prime=prime,
-        coeffs1=tuple(tuple(c % prime for c in row) for row in pk.p1),
-        rhs1=ct.value1 % prime,
-        coeffs2=tuple(tuple(c % prime for c in row) for row in pk.p2),
-        rhs2=ct.value2 % prime,
-    )
+    return ModPSystem(prime, tuple(
+        (tuple(tuple(c % prime for c in row) for row in m), value % prime)
+        for m, value in ((pk.p1, ct.value1), (pk.p2, ct.value2))
+    ))
 
 
 # -- exhaustive solving
@@ -183,33 +180,13 @@ def random_planted_system(params, rng):
     m = params.noise_vars
     size = rows * m
     draws = rng.below_many(p, 2 * size + 1 + m)
-    coeffs1, coeffs2 = _rows(draws[:size], m), _rows(draws[size : 2 * size], m)
+    tables = _rows(draws[:size], m), _rows(draws[size : 2 * size], m)
     x, *noise = draws[2 * size :]
-    rhs1, rhs2 = (_dot(column_values(c, x, p), noise, p) for c in (coeffs1, coeffs2))
-    sys = ModPSystem(p, coeffs1, rhs1, coeffs2, rhs2)
-    return sys, (x, *noise)
+    congruences = tuple((c, _dot(column_values(c, x, p), noise, p)) for c in tables)
+    return ModPSystem(p, congruences), (x, *noise)
 
 
 # -- the indistinguishability game
-
-
-@dataclass(frozen=True)
-class IndCpaChallenge:
-    """What the adversary sees in one round of the game.
-
-    public_coeffs is the instance polynomial H (the normalized public
-    key); evaluation is its value at the hidden message and noise.  The
-    normalized challenge, H scaled by the inverse of evaluation, follows
-    from the two.
-    """
-
-    prime: int
-    public_coeffs: tuple
-    evaluation: int
-
-    @property
-    def noise_vars(self):
-        return len(self.public_coeffs[0])
 
 
 def ind_cpa_game(params, adversary, trials, rng):
@@ -218,7 +195,10 @@ def ind_cpa_game(params, adversary, trials, rng):
     Each round draws a fresh instance polynomial in the message variable
     and noise_vars - 1 noise variables, two distinct candidate messages,
     a hidden bit, and noise; the adversary receives both messages and the
-    challenge and guesses the bit.  Returns |win_rate - 1/2|.
+    challenge and guesses the bit.  The challenge is a one-congruence
+    ModPSystem: its coefficients are the instance polynomial H (the
+    normalized public key) and its right-hand side is H's value at the
+    hidden message and noise.  Returns |win_rate - 1/2|.
     """
     if params.noise_vars < 2:
         raise ValueError("the game needs at least one noise variable")
@@ -243,7 +223,7 @@ def ind_cpa_game(params, adversary, trials, rng):
         while evaluation == 0:
             noise = rng.below_many(p, m)
             evaluation = _dot(cols, noise, p)
-        wins += adversary(m0, m1, IndCpaChallenge(p, table, evaluation)) == hidden
+        wins += adversary(m0, m1, ModPSystem(p, ((table, evaluation),))) == hidden
         done += 1
     return abs(wins / trials - 0.5)
 
@@ -284,11 +264,9 @@ class ExhaustiveLikelihoodAdversary:
         m = challenge.noise_vars
         if p**m > _LIKELIHOOD_GUARD:
             raise SearchSpaceTooLarge("likelihood enumeration exceeds the guard")
-        counts = []
-        for candidate in (m0, m1):
-            cols = column_values(challenge.public_coeffs, candidate, p)
-            form = (cols, challenge.evaluation)
-            counts.append(sum(1 for _ in _noise_solutions((form,), p, m)))
+        counts = [
+            sum(1 for _ in _noise_solutions(challenge.forms(x), p, m)) for x in (m0, m1)
+        ]
         if counts[0] != counts[1]:
             return int(counts[1] > counts[0])
         return self._rng.bits(1)
@@ -451,7 +429,7 @@ def _root_exists_table(p):
     return table
 
 
-def _table_accepts(columns, p):
+def _table_accepts(columns, params):
     """Which pairs (S, V) give a cipher map a product structure.
 
     columns holds, per column of the map, its three residue rows: entry i
@@ -460,6 +438,7 @@ def _table_accepts(columns, p):
     accepted when the columns of its unmasking share a label, read from the
     p^3 label table, and some column is live.
     """
+    p = params.prime
     masks = _root_exists_table(p)
     labels = key = None
     for r0, r1, r2 in columns:
@@ -494,14 +473,14 @@ def _residue_row(c, mods, inverses, p):
     return row
 
 
-def _scalar_accepts(matrix, mods, units, params):
-    """The same acceptance, one pair at a time through ratio recovery."""
-    p, nb, nf = params.prime, params.base_degree, params.factor_degree
-    accepted = []
-    for modulus, v in zip(mods.tolist(), units.tolist()):
-        rows = [[v * c % modulus % p for c in row] for row in matrix]
-        accepted.append(bool(_map_labels(zip(*rows), p, nb, nf)))
-    return np.array(accepted, dtype=bool)
+def _scalar_accepts(columns, params):
+    """The same acceptance from the same residue rows, one pair at a time
+    through _map_labels, for any shape.
+    """
+    shape = (params.prime, params.base_degree, params.factor_degree)
+    # a memoryview yields a row's entries as Python ints without copying it
+    unmasked = zip(*(zip(*map(memoryview, rows)) for rows in columns))
+    return np.fromiter((bool(_map_labels(cols, *shape)) for cols in unmasked), dtype=bool)
 
 
 def _ring_options(mods, units, moduli):
@@ -586,6 +565,8 @@ def _residue_table(start, stop, p):
     a time, so no table-sized temporary is made.
     """
     mods, _, inverses = _unit_grid(start, stop)
+    # a table serves widths up to 7 bits, and a search's ring is wider than
+    # its prime, so p < 2^6 and every residue fits a uint8
     table = np.empty((stop, len(mods)), dtype=np.uint8)
     for c, row in enumerate(table):
         row[:] = _residue_row(c, mods, inverses, p)
@@ -622,15 +603,16 @@ def ring_key_search(pk, params, s_bits):
     A search skips the chunks below its floor and cuts the one holding the
     floor.  Each chunk tests the first map on every unit, then the second
     map only on the moduli where the first accepted a unit; work counts the
-    units tested.  The shape picks the unit test: for degree-1 factors over
-    a degree-1 base and p <= 31, each entry of a map is unmasked mod p into
-    a residue row over the tested pairs and the rows read a p^3 label table
-    (_table_accepts); otherwise ratio recovery runs pair by pair.  A cached
-    grid whose residue table fits in _RESIDUE_TABLE_BYTES (every width up to
-    7 bits) gets one on the first search that needs it, holding the row of
-    every entry a search can meet: the first map reads its rows as slices of
-    the table and the second as gathers at its pairs.  Other grids compute
-    each row per search.
+    units tested.  Each entry of a map is unmasked mod p into a residue row
+    over the tested pairs, whatever the shape.  A cached grid whose residue
+    table fits in _RESIDUE_TABLE_BYTES (every width up to 7 bits) gets one
+    on the first search that needs it, holding the row of every entry a
+    search can meet: the first map reads its rows as slices of the table and
+    the second as gathers at its pairs.  Other grids compute each row per
+    search (_residue_row).  The shape picks, once per search, the kernel
+    that reads the rows: for degree-1 factors over a degree-1 base and
+    p <= 31 a p^3 label table (_table_accepts), otherwise _map_labels pair
+    by pair (_scalar_accepts).
 
     A candidate's options are the values R, ascending, whose inverse its
     map accepted, taken only for moduli both maps accept.  They are sliced
@@ -655,6 +637,7 @@ def ring_key_search(pk, params, s_bits):
     p = params.prime
     # the p^3 label table serves degree-1 factors over a degree-1 base
     labelled = params.factor_degree == params.base_degree == 1 and p <= _ROOT_TABLE_MAX_PRIME
+    accepts = _table_accepts if labelled else _scalar_accepts
     high = 1 << s_bits
     low = min(max(high >> 1, max(entries) + 1), high)
     bounds = _chunk_bounds(s_bits)
@@ -669,7 +652,7 @@ def ring_key_search(pk, params, s_bits):
         cached = index < _UNIT_GRID_CACHE
         mods, units, inverses = (_unit_grid if cached else _unit_grid.__wrapped__)(start, stop)
         table = None
-        if labelled and cached and stop * len(mods) <= _RESIDUE_TABLE_BYTES:
+        if cached and stop * len(mods) <= _RESIDUE_TABLE_BYTES:
             table = _residue_table(start, stop, p)
         cut = int(np.searchsorted(mods, max(start, low)))
         at = slice(cut, None)  # the grid's pairs the map is tested on
@@ -681,15 +664,14 @@ def ring_key_search(pk, params, s_bits):
                 at = np.flatnonzero(hit[tested - start]) + cut
             tested = mods[at]
             work += len(tested)
-            if not labelled:
-                ok = _scalar_accepts(matrix, tested, inverses[at], params)
-            elif table is not None:
+            if table is not None:
                 # table[c][at] gathers about 3x faster than table[c, at]
-                ok = _table_accepts(([table[c][at] for c in col] for col in zip(*matrix)), p)
+                ok = accepts(([table[c][at] for c in col] for col in zip(*matrix)), params)
             else:
                 v = inverses[at]
-                ok = _table_accepts(
-                    ([_residue_row(c, tested, v, p) for c in col] for col in zip(*matrix)), p
+                ok = accepts(
+                    ([_residue_row(c, tested, v, p) for c in col] for col in zip(*matrix)),
+                    params,
                 )
             ok_mods = tested[ok]
             accepted.append((ok_mods, units[at][ok]))

@@ -1,7 +1,7 @@
 """Latency measurement for keygen, encaps, and decaps.
 
 Reports the median and quartiles in nanoseconds over at least 1000
-timed iterations preceded by at least 100 warm-up iterations.
+timed iterations preceded by 200 warm-up iterations (WARMUP).
 Comparisons are made as ratios between configurations, never against
 absolute figures from other machines.  Configurations to be compared are
 timed in one run, one call of each in turn, so that a slow phase of a
@@ -15,7 +15,7 @@ from . import kem
 from .block import keygen
 
 MIN_ITERATIONS = 1000
-MIN_WARMUP = 100
+WARMUP = 200  # untimed calls of each configuration before the timed ones
 
 OPERATIONS = ("keygen", "encaps", "decaps")
 
@@ -25,7 +25,6 @@ class BenchReport:
     operation: str
     label: str
     iterations: int
-    warmup: int
     median_ns: int
     q1_ns: int
     q3_ns: int
@@ -49,7 +48,7 @@ def _make_callable(operation, params, rng):
     raise ValueError(f"unknown operation {operation!r}")
 
 
-def run_bench(operation, profiles, rng, iterations=2000, warmup=200):
+def run_bench(operation, profiles, rng, iterations=2000):
     """Time one operation under each profile, calls interleaved across them.
 
     Returns one BenchReport per profile, in order; raises ValueError
@@ -58,10 +57,8 @@ def run_bench(operation, profiles, rng, iterations=2000, warmup=200):
     import statistics  # imported here, so that importing the CLI does not load it
     if iterations < MIN_ITERATIONS:
         raise ValueError(f"need at least {MIN_ITERATIONS} iterations")
-    if warmup < MIN_WARMUP:
-        raise ValueError(f"need at least {MIN_WARMUP} warm-up iterations")
     calls = [_make_callable(operation, params, rng) for params in profiles]
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         for call in calls:
             call()
     samples = [[] for _ in calls]
@@ -77,7 +74,6 @@ def run_bench(operation, profiles, rng, iterations=2000, warmup=200):
             operation=operation,
             label=params.label,
             iterations=iterations,
-            warmup=warmup,
             median_ns=int(median),
             q1_ns=int(q1),
             q3_ns=int(q3),

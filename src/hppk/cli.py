@@ -67,6 +67,16 @@ def _write(path, data):
         raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
+def _output_paths(out, default, suffixes):
+    """The output files out (or default) names, one per suffix; a path with an
+    empty name, such as "." or "/", is a usage error.
+    """
+    base = Path(out or default)
+    if not base.name:
+        raise UsageError(f"output path {str(base)!r} has no file name")
+    return [base.with_suffix(suffix) for suffix in suffixes]
+
+
 def _profile(args):
     if getattr(args, "insecure_test_profile", False):
         return PARAMETER_SETS["toy"]
@@ -90,9 +100,7 @@ def _cmd_keygen(args):
     params = _profile(args)
     rng = _rng_from(args.seed)
     sk, pk = keygen(params, rng)
-    base = Path(args.out if args.out else params.label)
-    pk_path = base.with_suffix(".hpk")
-    sk_path = base.with_suffix(".hsk")
+    pk_path, sk_path = _output_paths(args.out, params.label, (".hpk", ".hsk"))
     _write(pk_path, kem.serialize_pk(pk, params))
     _write(sk_path, kem.serialize_sk(sk, params))
     print(f"wrote {pk_path} ({params.public_key_bytes} bytes)")
@@ -105,9 +113,7 @@ def _cmd_encaps(args):
     rng = _rng_from(args.seed)
     pk = kem.deserialize_pk(Path(args.pk).read_bytes(), params)
     ct, ss = kem.encaps(pk, params, rng)
-    base = Path(args.out if args.out else Path(args.pk).stem)
-    ct_path = base.with_suffix(".hct")
-    ss_path = base.with_suffix(".hss")
+    ct_path, ss_path = _output_paths(args.out, Path(args.pk).stem, (".hct", ".hss"))
     _write(ct_path, kem.serialize_ct(ct, params))
     _write(ss_path, ss)
     print(f"wrote {ct_path} ({params.ciphertext_bytes} bytes)")
@@ -143,6 +149,9 @@ def _cmd_kat(args):
         return EXIT_OK
     with open(args.suite) as fh:
         records = kat.parse_suite(fh)
+    if not records:
+        # a truncated or emptied suite must not pass as verified
+        raise MalformedEncoding(f"{args.suite} holds no KAT records")
     failures = 0
     for rec, ok, bad_field in kat.verify_suite(records):
         status = "ok" if ok else f"FAIL ({bad_field} differs)"
@@ -162,8 +171,7 @@ def _cmd_bench(args):
     params = _profile(args)
     try:
         (report,) = bench.run_bench(
-            args.op, [params], SystemRng(),
-            iterations=args.iterations, warmup=args.warmup,
+            args.op, [params], SystemRng(), iterations=args.iterations
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -310,7 +318,6 @@ def build_parser():
     _add_profile_flags(p)
     p.add_argument("--op", required=True, choices=bench.OPERATIONS)
     p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--warmup", type=int, default=200)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("attack", help="run a desk-scale attack oracle")

@@ -265,7 +265,7 @@ def test_criterion_10_latency_trends():
     for _ in range(3):
         reference_ns.append(_reference_loop_ns())
         for operation, medians in (("keygen", keygen_medians), ("decaps", decaps_medians)):
-            reports = bench.run_bench(operation, profiles, rng, iterations=1000, warmup=100)
+            reports = bench.run_bench(operation, profiles, rng, iterations=1000)
             for level, report in zip(levels, reports):
                 medians[level].append(report.median_ns)
     reference_ns.append(_reference_loop_ns())

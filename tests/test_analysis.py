@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from operator import mul
 
 import numpy as np
 import pytest
@@ -31,14 +32,21 @@ def _plain_maps(sk, pk, prime):
 # -- mod-p view
 
 
+def _satisfies(system, x, noise):
+    """Whether (x, *noise) satisfies every congruence of the system."""
+    return all(sum(map(mul, cols, noise)) % system.prime == rhs
+               for cols, rhs in system.forms(x))
+
+
 def test_reduce_mod_p_toy(toy_params, toy_keypair, toy_block):
     _, pk = toy_keypair
     sys_ = analysis.reduce_mod_p(pk, toy_block, 13)
-    assert sys_.coeffs1 == ((8, 12), (6, 0), (0, 3))
-    assert sys_.coeffs2 == ((3, 8), (4, 3), (6, 10))
-    assert (sys_.rhs1, sys_.rhs2) == (198082 % 13, 192229 % 13) == (1, 11)
+    (coeffs1, rhs1), (coeffs2, rhs2) = sys_.congruences
+    assert coeffs1 == ((8, 12), (6, 0), (0, 3))
+    assert coeffs2 == ((3, 8), (4, 3), (6, 10))
+    assert (rhs1, rhs2) == (198082 % 13, 192229 % 13) == (1, 11)
     # the encrypting witness satisfies both congruences
-    assert sys_.is_solution(8, (3, 6))
+    assert _satisfies(sys_, 8, (3, 6))
 
 
 def test_reduce_mod_p_zero_ciphertext(toy_params, toy_keypair):
@@ -46,7 +54,7 @@ def test_reduce_mod_p_zero_ciphertext(toy_params, toy_keypair):
 
     _, pk = toy_keypair
     sys_ = analysis.reduce_mod_p(pk, BlockCiphertext(0, 0), 13)
-    assert (sys_.rhs1, sys_.rhs2) == (0, 0)
+    assert [rhs for _, rhs in sys_.congruences] == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -56,7 +64,12 @@ def test_reduce_mod_p_zero_ciphertext(toy_params, toy_keypair):
 )
 def test_mod_p_system_rejects_unreduced_entries(rhs1, coeffs2, rhs2):
     with pytest.raises(ValueError, match="reduced mod p"):
-        analysis.ModPSystem(13, ((1, 2), (3, 4)), rhs1, coeffs2, rhs2)
+        analysis.ModPSystem(13, ((((1, 2), (3, 4)), rhs1), (coeffs2, rhs2)))
+
+
+def test_mod_p_system_needs_a_congruence():
+    with pytest.raises(ValueError, match="at least one congruence"):
+        analysis.ModPSystem(13, ())
 
 
 # -- exhaustive solving
@@ -69,7 +82,7 @@ def test_brute_force_toy_contains_witness(toy_params, toy_keypair, toy_block):
     assert (8, 3, 6) in sols
     assert len(sols) == 11
     for x, *noise in sols:
-        assert sys_.is_solution(x, noise)
+        assert _satisfies(sys_, x, noise)
 
 
 def test_brute_force_planted_instances_mean_count():
@@ -86,10 +99,8 @@ def test_brute_force_planted_instances_mean_count():
 
 
 def test_brute_force_inconsistent_system_is_empty():
-    sys_ = analysis.ModPSystem(
-        prime=2, coeffs1=((0, 0), (0, 0)), rhs1=1,
-        coeffs2=((0, 0), (0, 0)), rhs2=0,
-    )
+    zero = ((0, 0), (0, 0))
+    sys_ = analysis.ModPSystem(prime=2, congruences=((zero, 1), (zero, 0)))
     assert analysis.brute_force_solutions(sys_) == ()
 
 
@@ -130,6 +141,23 @@ def test_ind_cpa_constant_adversary_near_half():
     advantage = analysis.ind_cpa_game(P13M3, analysis.ConstantAdversary(0),
                                       10_000, rng)
     assert advantage < 0.02
+
+
+def test_ind_cpa_challenge_is_one_congruence():
+    # the adversary sees the instance polynomial in the message and m - 1
+    # noise variables, and its nonzero value at the hidden message and noise
+    challenges = []
+
+    def adversary(m0, m1, challenge):
+        challenges.append(challenge)
+        return 0
+
+    analysis.ind_cpa_game(P5M3, adversary, 50, DeterministicStream(b"game-challenge"))
+    assert len(challenges) == 50
+    for challenge in challenges:
+        ((coeffs, rhs),) = challenge.congruences
+        assert challenge.prime == 5 and challenge.noise_vars == 2
+        assert len(coeffs) == P5M3.message_degree + 1 and rhs != 0
 
 
 def test_ind_cpa_likelihood_advantage_decays_with_noise():
@@ -479,6 +507,8 @@ RING_REFERENCE_CASES = {
     "floor-in-later-chunk": (13, 1, 2, 9, "ring-ref-floor-chunk-9", "floor-chunk"),
     "m5-table": (13, 1, 5, 8, "ring-ref-13-5", None),
     "zero-row": (13, 1, 3, 7, "ring-ref-zero-row-1", "all-units"),
+    "nb2-scalar-table": (13, 2, 2, 7, "ring-ref-13-2-7", "table"),
+    "p61-scalar-table": (61, 1, 2, 7, "ring-ref-61-1-7", "table"),
 }
 
 
@@ -489,6 +519,7 @@ def test_ring_search_matches_reference(case):
                           noise_vars=noise_vars, label=f"ring-ref-{case}")
     sk, pk = analysis.random_ring_instance(params, s_bits,
                                            DeterministicStream(seed.encode()))
+    table_reads = sum(analysis._residue_table.cache_info()[:2])  # hits and misses
     result = analysis.ring_key_search(pk, params, s_bits)
     candidates, work = _reference_ring_search(pk, params, s_bits)
     assert (result.candidates, result.work) == (candidates, work)
@@ -508,6 +539,9 @@ def test_ring_search_matches_reference(case):
         # every unit is tested once, and again only where map 1 accepted one
         units = sum(1 for s in moduli for v in range(1, s) if math.gcd(v, s) == 1)
         assert work < 2 * units
+    if exercises == "table":
+        # a scalar shape reads the residue table of its one 7-bit chunk
+        assert sum(analysis._residue_table.cache_info()[:2]) == table_reads + 1
     if exercises == "all-units":
         # map 2's row 0 is zero, so it accepts every unit of every candidate
         assert not any(pk.p2[0]) and len(result.candidates) == 30
@@ -570,11 +604,11 @@ def test_table_accepts_matches_scalar_at_the_ring_cap():
     modulus, mult = int(mods[1000]), int(units[1000])
     matrix = fhe.encrypt_coeffs(fhe.HomomorphicKey(modulus, mult), plain)
     assert max(c for row in matrix for c in row) > 1 << 13
-    columns = ([analysis._residue_row(c, mods, inverses, 31) for c in col]
-               for col in zip(*matrix))
-    table = analysis._table_accepts(columns, 31)
+    columns = [[analysis._residue_row(c, mods, inverses, 31) for c in col]
+               for col in zip(*matrix)]
+    table = analysis._table_accepts(columns, params)
     assert table[1000]
-    assert (table == analysis._scalar_accepts(matrix, mods, inverses, params)).all()
+    assert (table == analysis._scalar_accepts(columns, params)).all()
 
 
 @pytest.mark.parametrize("prime", [13, 31])

@@ -333,7 +333,7 @@ def test_degree2_block_roundtrip():
         try:
             assert decrypt_block(sk, DEG2, ct) == payload
         except NoValidRoot:
-            # the second quadratic root verifies by luck about once in 2^9
+            # the second quadratic root verifies by luck about once in 2^8
             ambiguous += 1
         hits += 1
     assert ambiguous <= 3
@@ -356,6 +356,31 @@ def test_degree2_garbage_has_no_valid_root():
         except NoValidRoot:
             rejections += 1
     assert rejections > 40  # the stray root verifying by luck is a 1/256 event
+
+
+def test_degree2_stray_root_rate():
+    # an honest block's equation has the true root and a stray one; the
+    # stray root's top 8 bits are near uniform, so its flag matches the
+    # CRC-8 of its payload 1 time in 2^8 and the block raises NoValidRoot.
+    # The bound, 4 sigma of the binomial at the pinned 20,480 blocks, was
+    # fixed before the first run; it excludes the rates 2^-9 and 2^-7.
+    blocks = ambiguous = 0
+    for k in range(10):
+        rng = DeterministicStream(f"deg2-stray-root-{k}".encode())
+        sk, pk = keygen(DEG2, rng)
+        for _ in range(2048):
+            payload = rng.bits(DEG2.payload_bits)
+            noise = rng.below_many(DEG2.prime, DEG2.noise_vars)
+            ct = encrypt_block(pk, DEG2, format_plaintext(payload, DEG2), noise)
+            blocks += 1
+            try:
+                assert decrypt_block(sk, DEG2, ct) == payload
+            except NoValidRoot:
+                ambiguous += 1
+    predicted = 2**-8
+    sigma = (blocks * predicted * (1 - predicted)) ** 0.5
+    assert blocks == 20_480
+    assert abs(ambiguous - blocks * predicted) < 4 * sigma
 
 
 def test_keypair_from_values_rejects_proportional(toy_params):

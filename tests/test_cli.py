@@ -121,6 +121,27 @@ def test_unwritable_outputs_are_usage_errors(capsys, tmp_path, argv):
     assert ("missing/x" if argv[0] == "keygen" else "outdir") in err
 
 
+@pytest.mark.parametrize("out", [".", "/"], ids=["dot", "root"])
+@pytest.mark.parametrize("command", ["keygen", "encaps"])
+def test_output_path_without_a_name_is_a_usage_error(capsys, tmp_path, command, out):
+    _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "k")
+    argv = ["--pk", "k.hpk"] if command == "encaps" else []
+    code, out_text, err = _run(capsys, command, "--level", "1", *argv, "--out", out)
+    assert code == 1
+    assert err.startswith("hppk: ") and err.count("\n") == 1
+    assert "has no file name" in err and out_text == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.hpk", "k.hsk"]
+
+
+@pytest.mark.parametrize("text", ["", "# hppk known-answer tests\n\n"],
+                         ids=["empty", "comments-only"])
+def test_kat_verify_suite_without_records_is_malformed(capsys, tmp_path, text):
+    (tmp_path / "suite.kat").write_text(text)
+    code, out, err = _run(capsys, "kat", "verify", "suite.kat")
+    assert code == 2
+    assert err == "hppk: suite.kat holds no KAT records\n" and out == ""
+
+
 def test_kat_verify_non_utf8_suite_is_malformed(capsys, tmp_path):
     (tmp_path / "suite.kat").write_bytes(b"profile = toy\n\xff\xfe\n")
     code, _, err = _run(capsys, "kat", "verify", "suite.kat")
@@ -187,7 +208,7 @@ def test_bench_rejects_zero_iterations(capsys):
 def test_bench_runs_at_floor(capsys):
     code, out, _ = _run(capsys, "bench", "--op", "keygen",
                         "--insecure-test-profile",
-                        "--iterations", "1000", "--warmup", "100")
+                        "--iterations", "1000")
     assert code == 0
     assert "median=" in out
 

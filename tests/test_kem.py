@@ -272,7 +272,7 @@ def test_degree2_kem_roundtrip():
         try:
             assert kem.decaps(sk, params, ct) == ss
         except DecapsFailure as err:
-            # root ambiguity: the stray root verifies once in ~2^9 blocks
+            # root ambiguity: the stray root verifies once in 2^8 blocks
             from hppk.errors import NoValidRoot
 
             assert isinstance(err.cause, NoValidRoot)
