@@ -26,16 +26,20 @@ search's label table all apply this one rule, through _map_labels.
 
 The ring search unmasks a public entry c one way, whatever the shape:
 _residue_row computes (c * V mod S) mod p over a row of (S, V) pairs,
-and narrow grids keep those rows in a residue table.  Both acceptance
+and narrow grids keep those rows in a residue table.  Both public maps
+read their rows over one slice of each chunk's pairs, and both acceptance
 kernels read the rows: the p^3 label table for degree-1 shapes over
-small primes, _map_labels pair by pair for every other shape.
+small primes, _map_labels pair by pair for every other shape.  The second
+map's kernel takes a mask of the pairs whose modulus the first accepted,
+and accepts, or labels, no other pair.
 """
 
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -391,8 +395,7 @@ def random_ring_instance(params, s_bits, rng):
     return sample_keypair(params, s_bits, rng)
 
 
-@dataclass(frozen=True)
-class RingCandidate:
+class RingCandidate(NamedTuple):
     modulus: int
     r1_options: tuple
     r2_options: tuple
@@ -429,14 +432,15 @@ def _root_exists_table(p):
     return table
 
 
-def _table_accepts(columns, params):
+def _table_accepts(columns, params, where=None):
     """Which pairs (S, V) give a cipher map a product structure.
 
     columns holds, per column of the map, its three residue rows: entry i
     of the row of a coefficient c is (c * V mod S) mod p for the i-th
     tested pair, from a residue table or from _residue_row.  A pair is
     accepted when the columns of its unmasking share a label, read from the
-    p^3 label table, and some column is live.
+    p^3 label table, and some column is live.  A boolean where, one entry
+    per tested pair, accepts only the pairs it marks.
     """
     p = params.prime
     masks = _root_exists_table(p)
@@ -457,7 +461,10 @@ def _table_accepts(columns, params):
             labels &= column
     # a live column has at most 2 roots, fewer than p, so only the zero
     # column accepts every label, and a full mask marks a zero unmasking
-    return (labels != 0) & (labels != masks[0])
+    ok = (labels != 0) & (labels != masks[0])
+    if where is not None:
+        ok &= where
+    return ok
 
 
 def _residue_row(c, mods, inverses, p):
@@ -473,24 +480,36 @@ def _residue_row(c, mods, inverses, p):
     return row
 
 
-def _scalar_accepts(columns, params):
+def _scalar_accepts(columns, params, where=None):
     """The same acceptance from the same residue rows, one pair at a time
-    through _map_labels, for any shape.
+    through _map_labels, for any shape.  A boolean where skips the pairs it
+    does not mark: they are rejected without a call to _map_labels.
     """
     shape = (params.prime, params.base_degree, params.factor_degree)
     # a memoryview yields a row's entries as Python ints without copying it
     unmasked = zip(*(zip(*map(memoryview, rows)) for rows in columns))
-    return np.fromiter((bool(_map_labels(cols, *shape)) for cols in unmasked), dtype=bool)
+    marked = itertools.repeat(True) if where is None else where.tolist()
+    return np.fromiter(
+        (w and bool(_map_labels(cols, *shape)) for w, cols in zip(marked, unmasked)),
+        dtype=bool,
+    )
+
+
+def _map_columns(matrix, row):
+    """Per column of a public map, the residue rows of its entries, each
+    entry's row read by row(entry).
+    """
+    return ([row(c) for c in col] for col in zip(*matrix))
 
 
 def _ring_options(mods, units, moduli):
-    """Per modulus of moduli, the tuple of its entries in units.
+    """Per modulus of the array moduli, the tuple of its entries in units.
 
     mods is ascending and holds every modulus of moduli, and units ascend
     within each modulus, as the grid holds them.
     """
-    starts = np.searchsorted(mods, moduli).tolist()
-    ends = np.searchsorted(mods, moduli, side="right").tolist()
+    starts = mods.searchsorted(moduli).tolist()
+    ends = mods.searchsorted(moduli, side="right").tolist()
     units = units.tolist()
     return [tuple(units[a:b]) for a, b in zip(starts, ends)]
 
@@ -601,20 +620,23 @@ def ring_key_search(pk, params, s_bits):
     most 11.5 MiB, at 14 bits), so searches at one width share them; later
     chunks are built per search.
     A search skips the chunks below its floor and cuts the one holding the
-    floor.  Each chunk tests the first map on every unit, then the second
-    map only on the moduli where the first accepted a unit; work counts the
-    units tested.  Each entry of a map is unmasked mod p into a residue row
-    over the tested pairs, whatever the shape.  A cached grid whose residue
-    table fits in _RESIDUE_TABLE_BYTES (every width up to 7 bits) gets one
-    on the first search that needs it, holding the row of every entry a
-    search can meet: the first map reads its rows as slices of the table and
-    the second as gathers at its pairs.  Other grids compute each row per
-    search (_residue_row).  The shape picks, once per search, the kernel
-    that reads the rows: for degree-1 factors over a degree-1 base and
-    p <= 31 a p^3 label table (_table_accepts), otherwise _map_labels pair
-    by pair (_scalar_accepts).
+    floor; both maps read the pairs from the cut on, one slice of the grid.
+    Each entry of a map is unmasked mod p into a residue row over that
+    slice, whatever the shape.  A cached grid whose residue table fits in
+    _RESIDUE_TABLE_BYTES (every width up to 7 bits) gets one on the first
+    search that needs it, holding the row of every entry a search can meet,
+    and both maps read their rows as slices of it.  Other grids compute each
+    row per search (_residue_row).  The shape picks, once per search, the
+    kernel that reads the rows: for degree-1 factors over a degree-1 base
+    and p <= 31 a p^3 label table (_table_accepts), otherwise _map_labels
+    pair by pair (_scalar_accepts).  The second map accepts a unit only
+    where the first accepted a unit of its modulus: its kernel takes that
+    mask, and the scalar kernel labels no pair outside it.  work counts
+    every tested unit once, plus again each unit of a modulus where the
+    first map accepted a unit.
 
-    A candidate's options are the values R, ascending, whose inverse its
+    Each candidate is a RingCandidate, a named tuple (modulus, r1_options,
+    r2_options).  Its options are the values R, ascending, whose inverse its
     map accepted, taken only for moduli both maps accept.  They are sliced
     from the grid, so nothing is inverted or sorted during a search.
     Every option is held as a Python int, so the option count bounds any
@@ -651,33 +673,24 @@ def ring_key_search(pk, params, s_bits):
         # each grid before the next search reaches it
         cached = index < _UNIT_GRID_CACHE
         mods, units, inverses = (_unit_grid if cached else _unit_grid.__wrapped__)(start, stop)
-        table = None
-        if cached and stop * len(mods) <= _RESIDUE_TABLE_BYTES:
-            table = _residue_table(start, stop, p)
         cut = int(np.searchsorted(mods, max(start, low)))
-        at = slice(cut, None)  # the grid's pairs the map is tested on
-        accepted = []
-        for matrix in (pk.p1, pk.p2):
-            if accepted:
-                # the second map is tested only on the moduli where the first
-                # accepted a unit
-                at = np.flatnonzero(hit[tested - start]) + cut
-            tested = mods[at]
-            work += len(tested)
-            if table is not None:
-                # table[c][at] gathers about 3x faster than table[c, at]
-                ok = accepts(([table[c][at] for c in col] for col in zip(*matrix)), params)
-            else:
-                v = inverses[at]
-                ok = accepts(
-                    ([_residue_row(c, tested, v, p) for c in col] for col in zip(*matrix)),
-                    params,
-                )
-            ok_mods = tested[ok]
-            accepted.append((ok_mods, units[at][ok]))
-            hit = np.zeros(stop - start, dtype=bool)
-            hit[ok_mods - start] = True
-        both = (np.flatnonzero(hit) + start).tolist()
-        options1, options2 = (_ring_options(m, u, both) for m, u in accepted)
-        found += map(RingCandidate, both, options1, options2)
+        # both maps read every pair from cut on, through views of the grid
+        tested, units, inverses = mods[cut:], units[cut:], inverses[cut:]
+        if cached and stop * len(mods) <= _RESIDUE_TABLE_BYTES:
+            row = _residue_table(start, stop, p)[:, cut:].__getitem__
+        else:
+            row = partial(_residue_row, mods=tested, inverses=inverses, p=p)
+        ok1 = accepts(_map_columns(pk.p1, row), params)
+        hit = np.zeros(stop - start, dtype=bool)
+        hit[tested[ok1] - start] = True
+        # map 2 tests a unit only where map 1 accepted a unit of its modulus
+        where = hit.take(tested - start)
+        work += len(tested) + int(np.count_nonzero(where))
+        ok2 = accepts(_map_columns(pk.p2, row), params, where)
+        # the moduli map 2 accepted a unit of; np.unique would load numpy.ma,
+        # 1.2 MiB of peak RSS
+        both = np.flatnonzero(np.bincount(tested[ok2] - start)) + start
+        options1 = _ring_options(tested[ok1], units[ok1], both)
+        options2 = _ring_options(tested[ok2], units[ok2], both)
+        found += map(RingCandidate, both.tolist(), options1, options2)
     return RingSearchResult(candidates=tuple(found), work=work)

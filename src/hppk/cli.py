@@ -59,10 +59,15 @@ def _at_least_one(value, flag):
         raise UsageError(f"{flag} must be at least 1")
 
 
-def _write(path, data):
-    """Write one output file; a path that cannot be written is a usage error."""
+def _write(path, data, mode="wb"):
+    """Write one output file; a path that cannot be written is a usage error,
+    and so is an existing file under mode "xb", which creates it exclusively.
+    """
     try:
-        path.write_bytes(data)
+        with path.open(mode) as fh:
+            fh.write(data)
+    except FileExistsError as err:
+        raise UsageError(f"{path} already exists; name another output with --out") from err
     except OSError as err:
         raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -126,8 +131,13 @@ def _cmd_decaps(args):
     sk = kem.deserialize_sk(Path(args.sk).read_bytes(), params)
     ct = kem.deserialize_ct(Path(args.ct).read_bytes(), params)
     ss = kem.decaps(sk, params, ct)
-    out = Path(args.out) if args.out else Path(args.ct).with_suffix(".hss")
-    _write(out, ss)
+    if args.out:
+        out, mode = Path(args.out), "wb"
+    else:
+        # the default name is the one encaps gave the encapsulator's secret
+        # next to the same ciphertext, which must not be overwritten
+        out, mode = Path(args.ct).with_suffix(".hss"), "xb"
+    _write(out, ss, mode)
     print(f"wrote {out} ({len(ss)} bytes)")
     return EXIT_OK
 
@@ -304,7 +314,8 @@ def build_parser():
     _add_profile_flags(p)
     p.add_argument("--sk", required=True, help="secret key file (.hsk)")
     p.add_argument("--ct", required=True, help="ciphertext file (.hct)")
-    p.add_argument("--out", help="output file (default: ct stem + .hss)")
+    p.add_argument("--out", help="output file (default: ct stem + .hss, "
+                                 "which must not exist yet)")
     p.set_defaults(func=_cmd_decaps)
 
     p = sub.add_parser("kat", help="generate or verify known-answer tests")

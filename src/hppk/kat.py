@@ -117,7 +117,13 @@ def write_suite(records, fh):
         fh.write("\n")
 
 
+_FIELD_NAMES = frozenset(KatRecord.__annotations__)
+
+
 def parse_suite(fh):
+    """The records of a suite; a field outside KatRecord's, or one given
+    twice within a record, is malformed.
+    """
     records = []
     fields = {}
 
@@ -152,7 +158,13 @@ def parse_suite(fh):
             if "=" not in line:
                 raise MalformedEncoding(f"unparseable KAT line: {line!r}")
             key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _FIELD_NAMES:
+                raise MalformedEncoding(f"unknown KAT field {key!r}")
+            if key in fields:
+                # a second value must not silently replace the first
+                raise MalformedEncoding(f"KAT field {key!r} repeated within a record")
+            fields[key] = value.strip()
     except UnicodeDecodeError as err:
         raise MalformedEncoding(f"KAT suite is not valid text: {err}") from err
     flush()

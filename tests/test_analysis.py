@@ -5,6 +5,8 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppk import analysis, fhe
 from hppk.block import encrypt_block, keygen, keypair_from_values
@@ -491,7 +493,7 @@ def _reference_ring_search(pk, params, s_bits):
                 break
             options.append(tuple(sorted(kept)))
         else:
-            found.append(analysis.RingCandidate(modulus, *options))
+            found.append((modulus, *options))
     return tuple(found), work
 
 
@@ -557,6 +559,58 @@ def test_ring_search_matches_reference_on_benchmark_shape():
         result = analysis.ring_key_search(pk, P13M3, 7)
         assert (result.candidates, result.work) == _reference_ring_search(pk, P13M3, 7)
         assert result.contains(sk.modulus, sk.r1, sk.r2)
+
+
+def test_scalar_ring_search_labels_only_the_pairs_it_counts(monkeypatch):
+    # the scalar kernel runs _map_labels once per unit that work counts: map 2
+    # labels no unit of a modulus where map 1 accepted none
+    calls = 0
+    map_labels = analysis._map_labels
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return map_labels(*args)
+
+    monkeypatch.setattr(analysis, "_map_labels", counted)
+    masked = []
+    # computed rows at 9 bits, and a residue table at 7 bits
+    for case in ("nb2-scalar", "p61-scalar-table"):
+        prime, base_degree, noise_vars, s_bits, seed, _ = RING_REFERENCE_CASES[case]
+        params = ParameterSet(prime=prime, base_degree=base_degree, factor_degree=1,
+                              noise_vars=noise_vars, label=f"ring-ref-{case}")
+        _, pk = analysis.random_ring_instance(params, s_bits,
+                                              DeterministicStream(seed.encode()))
+        calls = 0
+        result = analysis.ring_key_search(pk, params, s_bits)
+        assert calls == result.work, case
+        max_entry = max(c for m in (pk.p1, pk.p2) for row in m for c in row)
+        moduli = range(max(1 << (s_bits - 1), max_entry + 1), 1 << s_bits)
+        units = sum(math.gcd(v, s) == 1 for s in moduli for v in range(1, s))
+        masked.append(2 * units - result.work)
+    # map 1 accepts a unit of every modulus in the 9-bit case but not in the
+    # 7-bit one, so labelling every pair twice would show there
+    assert masked[0] == 0 < masked[1]
+
+
+@st.composite
+def _ring_shapes(draw):
+    """A small shape and a ring width above its prime's bits, up to 7 bits."""
+    prime = draw(st.sampled_from([5, 7, 11, 13, 31, 37]))
+    params = ParameterSet(prime=prime, base_degree=draw(st.integers(1, 2)),
+                          factor_degree=1, noise_vars=draw(st.integers(2, 3)),
+                          label="ring-property")
+    return params, draw(st.integers(prime.bit_length() + 1, 7))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_ring_shapes(), st.binary(min_size=8, max_size=8))
+def test_ring_search_matches_reference_on_drawn_shapes(shape, seed):
+    params, s_bits = shape
+    sk, pk = analysis.random_ring_instance(params, s_bits, DeterministicStream(seed))
+    result = analysis.ring_key_search(pk, params, s_bits)
+    assert (result.candidates, result.work) == _reference_ring_search(pk, params, s_bits)
+    assert result.contains(sk.modulus, sk.r1, sk.r2)
 
 
 def test_ring_search_reuses_each_width_grid():

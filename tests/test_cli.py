@@ -142,11 +142,52 @@ def test_kat_verify_suite_without_records_is_malformed(capsys, tmp_path, text):
     assert err == "hppk: suite.kat holds no KAT records\n" and out == ""
 
 
+@pytest.mark.parametrize("extra, named", [
+    ("ss = 00", "'ss' repeated within a record"),
+    ("colour = blue", "unknown KAT field 'colour'"),
+], ids=["repeated-field", "unknown-field"])
+def test_kat_verify_rejects_repeated_and_unknown_fields(capsys, tmp_path, extra, named):
+    # the extra line goes before the record's correct ss line: a parser that
+    # kept the last value of a field would verify the record ok
+    text = io.StringIO()
+    kat.write_suite([kat.toy_vector()], text)
+    assert "\nss = 08\n" in text.getvalue()
+    (tmp_path / "suite.kat").write_text(
+        text.getvalue().replace("\nss = 08\n", f"\n{extra}\nss = 08\n"))
+    code, out, err = _run(capsys, "kat", "verify", "suite.kat")
+    assert (code, out) == (2, "")
+    assert err.startswith("hppk: ") and named in err and err.count("\n") == 1
+
+
 def test_kat_verify_non_utf8_suite_is_malformed(capsys, tmp_path):
     (tmp_path / "suite.kat").write_bytes(b"profile = toy\n\xff\xfe\n")
     code, _, err = _run(capsys, "kat", "verify", "suite.kat")
     assert code == 2
     assert err.startswith("hppk: ")
+
+
+def test_decaps_without_out_keeps_the_encapsulators_secret(capsys, tmp_path):
+    # encaps without --out writes alice.hct and alice.hss; decaps without
+    # --out names the same alice.hss, so it must not replace it
+    _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "alice")
+    _run(capsys, "encaps", "--level", "1", "--pk", "alice.hpk", "--seed", "22" * 32)
+    ss_enc = (tmp_path / "alice.hss").read_bytes()
+    (tmp_path / "alice.hss").write_bytes(b"\x00" * 32)  # so that an overwrite shows
+    code, out, err = _run(capsys, "decaps", "--level", "1", "--sk", "alice.hsk",
+                          "--ct", "alice.hct")
+    assert (code, out) == (1, "")
+    assert err == ("hppk: alice.hss already exists; "
+                   "name another output with --out\n")
+    assert (tmp_path / "alice.hss").read_bytes() == b"\x00" * 32
+    # with --out, or where the default file is new, decaps writes as before
+    code, _, _ = _run(capsys, "decaps", "--level", "1", "--sk", "alice.hsk",
+                      "--ct", "alice.hct", "--out", "alice.hss")
+    assert code == 0 and (tmp_path / "alice.hss").read_bytes() == ss_enc
+    (tmp_path / "alice.hct").rename(tmp_path / "bob.hct")
+    code, out, _ = _run(capsys, "decaps", "--level", "1", "--sk", "alice.hsk",
+                        "--ct", "bob.hct")
+    assert code == 0 and out == "wrote bob.hss (32 bytes)\n"
+    assert (tmp_path / "bob.hss").read_bytes() == ss_enc
 
 
 def test_tampered_ciphertext_decaps_failure(capsys, tmp_path):
