@@ -1,4 +1,4 @@
-"""HPPK block cipher core: key construction, one-block encrypt/decrypt.
+"""HPPK block cipher core: key construction, block encryption and decryption.
 
 A key pair starts from a base polynomial b (degree base_degree in the
 message variable, linear in each noise variable) and two factor
@@ -10,14 +10,20 @@ discarded.  Masking, evaluation and unmasking all go through fhe.
 
 Encrypting evaluates both cipher maps against one monomial table of the
 secret x and fresh noise, over the integers, in one pass: the public key
-stacks its maps as p1 + (p2 << value_bits), and the ring-size bound keeps
-the first value below 2**value_bits, so the one evaluation splits into
-value1 (its low value_bits bits) and value2 (the rest).  Decrypting
-unmasks both values to c1 = b(x)f1(x) and c2 = b(x)f2(x) mod p; the base
-polynomial cancels from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear
-(factor_degree 1) or quadratic (factor_degree 2) congruence in x that is
-solved without first forming the ratio c1/c2.  Degree-2 profiles embed
-an 8-bit CRC flag in the plaintext so the right root can be identified.
+stacks its maps as p1 + (p2 << value_bits), cached flat in the order the
+table is built, and the ring-size bound keeps the first value below
+2**value_bits, so the one evaluation splits into value1 (its low
+value_bits bits) and value2 (the rest).  Decrypting unmasks both values
+to c1 = b(x)f1(x) and c2 = b(x)f2(x) mod p; the base polynomial cancels
+from c2*f1(x) - c1*f2(x) = 0 (mod p), a linear (factor_degree 1) or
+quadratic (factor_degree 2) congruence in x that is solved without first
+forming the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC flag in
+the plaintext so the right root can be identified.
+
+decrypt_blocks decrypts all blocks of one ciphertext together, for both
+factor degrees: one modular inversion mod p serves every block's
+divisor, each degree-2 block takes one square root, and the earliest
+failing block is the one reported.  decrypt_block is its one-block case.
 
 A key's checks against a profile live in private_key and PublicKey.stacked.
 """
@@ -27,12 +33,16 @@ from dataclasses import dataclass
 from . import fhe
 from .errors import (
     AllZeroNoise,
+    DecapsFailure,
     DegenerateEquation,
     NoValidRoot,
     PayloadTooLarge,
     ZeroDenominator,
 )
-from .modmath import ensure_wide, mod_inverse, solve_quadratic
+from .modmath import batch_inverse, ensure_wide, sqrt_mod
+# block calls no mod_inverse; perfbench/tests/test_perfbench.py's
+# test_tracer_wraps_import_sites_and_restores_them needs the name bound here
+from .modmath import mod_inverse  # noqa: F401
 
 _CRC_POLY = 0x07  # x^8 + x^2 + x + 1, MSB first, init 0, no final xor
 
@@ -89,14 +99,17 @@ class PublicKey:
     def stacked(self, params):
         """fhe.stack(p1, p2, params.value_bits), checked and built once per profile.
 
-        This is the public key's one profile check.  The matrices must
-        have the profile's (message_degree+1) x noise_vars shape, and the
-        split of a stacked evaluation is exact only when every entry lies
-        in [0, 2**ring_bits), so that each map's value stays below
-        2**value_bits; anything else raises ValueError.  The matrix is
-        kept on the instance outside the dataclass fields, so equality,
-        hash, repr and the wire format never see it, and it is checked
-        and rebuilt when another ParameterSet object asks for it.
+        The stacked coefficients are flat and row-major, the layout
+        fhe.eval_cipher_poly reads, so a block's evaluation flattens
+        nothing.  This is the public key's one profile check.  The
+        matrices must have the profile's (message_degree+1) x noise_vars
+        shape, and the split of a stacked evaluation is exact only when
+        every entry lies in [0, 2**ring_bits), so that each map's value
+        stays below 2**value_bits; anything else raises ValueError.  The
+        coefficients are kept on the instance outside the dataclass
+        fields, so equality, hash, repr and the wire format never see
+        them, and they are checked and rebuilt when another ParameterSet
+        object asks for them.
         """
         cached = self.__dict__.get("_stacked")
         if cached is None or cached[0] is not params:
@@ -301,14 +314,15 @@ def keygen(params, rng):
 
 
 def monomial_table(params, x, noise):
-    """Values (x**i * noise_j) mod p for every matrix position (i, j)."""
+    """Values (x**i * noise_j) mod p, row-major over the (message_degree+1)
+    x noise_vars positions of a coefficient matrix: the flat layout that
+    fhe.eval_cipher_poly reads and PublicKey.stacked caches."""
     p = params.prime
-    row = [r % p for r in noise]
-    rows = [row]
-    for _ in range(params.message_degree):
-        row = [t * x % p for t in row]
-        rows.append(row)
-    return rows
+    table = [r % p for r in noise]
+    # the entry one row down, noise_vars places on, is this one times x
+    for i in range(params.message_degree * len(table)):
+        table.append(table[i] * x % p)
+    return table
 
 
 def encrypt_block(pk, params, x, noise):
@@ -331,50 +345,87 @@ def encrypt_block(pk, params, x, noise):
     return BlockCiphertext(v & ((1 << w) - 1), v >> w)
 
 
-def _projective_factors(sk, params, ct):
-    """Coefficients of c2*f1(x) - c1*f2(x) mod p, ascending degree.
+def _flagged_root(coeffs, inv, params):
+    """The payload of the one root of a degree-2 block whose CRC flag verifies.
 
-    c1, c2 are the unmasked values reduced mod p; the block secret is a
-    root of this polynomial.  Raises ZeroDenominator when c2 = 0 mod p,
-    where the equation carries no information about x.
+    coeffs are (d0, d1, d2) of c2*f1(x) - c1*f2(x) mod p, and inv inverts
+    the block's divisor: 2*d2 for a quadratic, d1 when d2 vanishes and
+    the block is linear.  A quadratic takes one square root.
     """
     p = params.prime
-    c1 = fhe.decrypt_value(sk.key1, ct.value1, p)
-    c2 = fhe.decrypt_value(sk.key2, ct.value2, p)
-    if c2 == 0:
-        raise ZeroDenominator("second map evaluates to 0 mod p")
-    return [(c2 * a - c1 * b) % p for a, b in zip(sk.f1, sk.f2)]
+    d0, d1, d2 = coeffs
+    if d2:
+        roots = [(s - d1) * inv % p for s in sqrt_mod(d1 * d1 - 4 * d2 * d0, p)]
+    else:
+        roots = [-d0 * inv % p]
+    verified = [r for r in roots if verify_flag(r, params)]
+    if len(verified) != 1:
+        raise NoValidRoot(f"{len(verified)} roots passed flag verification")
+    return extract_payload(verified[0], params)
 
 
-def linear_fraction(sk, params, ct):
-    """(numerator, denominator) with x = numerator / denominator mod p.
+def decrypt_blocks(sk, params, blocks):
+    """The payload of every block of one ciphertext, with one inversion mod p.
 
-    The linear solve of a factor_degree 1 block up to its division,
-    x = -(c2*f1[0] - c1*f2[0]) / (c2*f1[1] - c1*f2[1]), so that a caller
-    can divide many fractions with one inversion.  Raises
-    ZeroDenominator (c2 = 0 mod p) or DegenerateEquation (denominator = 0).
+    The first pass unmasks each block to c1 = b(x)f1(x) and c2 = b(x)f2(x)
+    mod p and forms the coefficients of c2*f1(x) - c1*f2(x), of which the
+    block secret is a root; c2 itself is never inverted.  Each block's
+    divisor is d1 for a linear equation (factor_degree 1, or a degree-2
+    block whose quadratic coefficient vanishes) and 2*d2 for a quadratic.
+    The pass stops at the first block that raises ZeroDenominator (c2 = 0
+    mod p) or DegenerateEquation (no nonzero divisor).  One batch_inverse
+    then inverts the divisors of the blocks before it, and the second pass
+    solves them in order: x = -d0/d1 for factor_degree 1, and for
+    factor_degree 2 the payload of the one root, found with one square
+    root, whose CRC flag verifies (else NoValidRoot).
+
+    Raises DecapsFailure(k, cause) for the earliest failing block k,
+    whichever pass found its failure.
     """
-    d0, d1 = _projective_factors(sk, params, ct)
-    if d1 == 0:
-        raise DegenerateEquation("linear coefficient vanishes mod p")
-    return -d0 % params.prime, d1
+    p = params.prime
+    key1, key2, f1, f2 = sk.key1, sk.key2, sk.f1, sk.f2
+    quadratic = params.factor_degree == 2
+    equations, divisors = [], []
+    failure = None
+    for k, ct in enumerate(blocks):
+        c1 = fhe.decrypt_value(key1, ct.value1, p)
+        c2 = fhe.decrypt_value(key2, ct.value2, p)
+        coeffs = [(c2 * a - c1 * b) % p for a, b in zip(f1, f2)]
+        try:
+            if c2 == 0:
+                raise ZeroDenominator("second map evaluates to 0 mod p")
+            if quadratic and coeffs[2]:
+                divisors.append(2 * coeffs[2] % p)
+            elif coeffs[1]:
+                divisors.append(coeffs[1])
+            else:
+                raise DegenerateEquation("linear coefficient vanishes mod p")
+        except (ZeroDenominator, DegenerateEquation) as err:
+            failure = DecapsFailure(k, err)
+            break
+        equations.append(coeffs)
+    payloads = []
+    for k, (coeffs, inv) in enumerate(zip(equations, batch_inverse(divisors, p))):
+        if not quadratic:
+            payloads.append(-coeffs[0] * inv % p)
+            continue
+        try:
+            payloads.append(_flagged_root(coeffs, inv, params))
+        except NoValidRoot as err:
+            raise DecapsFailure(k, err) from err
+    if failure is not None:
+        raise failure from failure.cause
+    return payloads
 
 
 def decrypt_block(sk, params, ct):
     """Recover the block secret from a ciphertext made under the matching key.
 
-    Unmasks both values, reduces mod p, and solves the projective form
-    c2*f1(x) - c1*f2(x) = 0 (mod p), which needs no inversion of c2.
-    Returns x directly for factor_degree 1; for factor_degree 2 returns
-    the payload of the unique root whose CRC flag verifies.
+    The one-block case of decrypt_blocks: x for factor_degree 1, the
+    flag-verified payload for factor_degree 2.  Raises the block's own
+    error (ZeroDenominator, DegenerateEquation or NoValidRoot).
     """
-    p = params.prime
-    if params.factor_degree == 1:
-        num, den = linear_fraction(sk, params, ct)
-        return num * mod_inverse(den, p) % p
-    d0, d1, d2 = _projective_factors(sk, params, ct)
-    roots = solve_quadratic(d2, d1, d0, p)
-    verified = [r for r in roots if verify_flag(r, params)]
-    if len(verified) != 1:
-        raise NoValidRoot(f"{len(verified)} roots passed flag verification")
-    return extract_payload(verified[0], params)
+    try:
+        return decrypt_blocks(sk, params, (ct,))[0]
+    except DecapsFailure as err:
+        raise err.cause from None

@@ -3,13 +3,13 @@
 A key is a pair (S, R): S is a secret ring modulus and R a unit of Z_S.
 HomomorphicKey checks both when it is built and derives R^-1 mod S when it
 first decrypts, as masking needs only R.  A polynomial is held as a
-coefficient matrix (rows x cols), and a point of evaluation as a table
-of monomial values mod p of the same shape; any polynomial with T terms
-is a 1 x T matrix.  Encrypting multiplies every coefficient by R mod S.
-The variables stay in F_p, so anyone can still evaluate the cipher
+coefficient matrix (rows x cols); any polynomial with T terms is a
+1 x T matrix.  Encrypting multiplies every coefficient by R mod S.  The
+variables stay in F_p, so anyone can still evaluate the cipher
 polynomial: the sum of coefficient * monomial value over the plain
-integers.  Whoever holds (S, R) undoes the mask with R^-1 mod S and
-reduces mod p to recover the plain polynomial value.
+integers, with the coefficients and a table of their monomial values
+mod p both read flat, row-major.  Whoever holds (S, R) undoes the mask
+with R^-1 mod S and reduces mod p to recover the plain polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
 size condition bit_length(S) > 2*bit_length(p) + bit_length(term_count)
@@ -18,15 +18,14 @@ homomorphic; it does not support multiplying two ciphertexts.
 
 Two polynomials of one shape evaluated at one table can share a single
 evaluation: when every plain integer sum of the first stays below
-2**width, the matrix stack(a, b, width) = a + (b << width) evaluates to
-v_a + (v_b << width), and the low width bits and the rest are the two
-values exactly.
+2**width, the coefficients stack(a, b, width) = a + (b << width)
+evaluate to v_a + (v_b << width), and the low width bits and the rest
+are the two values exactly.
 """
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import gcd
 
 from .errors import NotCoprime
@@ -88,25 +87,27 @@ def encrypt_coeffs(key, rows):
     return tuple(tuple(r * c % s for c in row) for row in rows)
 
 
-def eval_cipher_poly(rows, table):
+def eval_cipher_poly(coeffs, values):
     """sum(coeff * monomial value) over the integers; no final reduction.
 
-    table holds the value mod p of the monomial at every position of
-    rows, so the caller fixes both the variables and the monomial shape;
-    both are read row-major, as one dot product.
+    Both are flat sequences in one order: values holds the value mod p of
+    the monomial of each coefficient, so the caller fixes both the
+    variables and the monomial shape.  A coefficient matrix is read
+    row-major, as stack lays it out.
     """
-    return sum(map(operator.mul, chain.from_iterable(rows), chain.from_iterable(table)))
+    return sum(map(operator.mul, coeffs, values))
 
 
 def stack(a, b, width):
-    """Entry-wise a + (b << width) of two same-shape coefficient matrices.
+    """Entry-wise a + (b << width) of two same-shape coefficient matrices,
+    flat and row-major, the layout eval_cipher_poly reads.
 
     eval_cipher_poly of the result is v_a + (v_b << width), which splits
     back into v_a and v_b only when v_a < 2**width; the caller bounds the
     entries of a so that it is.
     """
     return tuple(
-        tuple(x + (y << width) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        x + (y << width) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
 
 

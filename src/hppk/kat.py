@@ -121,8 +121,9 @@ _FIELD_NAMES = frozenset(KatRecord.__annotations__)
 
 
 def parse_suite(fh):
-    """The records of a suite; a field outside KatRecord's, or one given
-    twice within a record, is malformed.
+    """The records of a suite; a field outside KatRecord's, one given
+    twice within a record, or a seed on a fixture record, which nothing
+    would check, is malformed.
     """
     records = []
     fields = {}
@@ -130,6 +131,8 @@ def parse_suite(fh):
     def flush():
         if not fields:
             return
+        if fields.get("mode") == "fixture" and "seed" in fields:
+            raise MalformedEncoding("a fixture record carries no seed")
         try:
             records.append(
                 KatRecord(

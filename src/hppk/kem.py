@@ -6,6 +6,11 @@ payload_bits each; block k contributes bits [k*payload_bits,
 bits.  The secret is the raw concatenation of the block payloads; no KDF
 is applied.
 
+Decapsulation hands the whole ciphertext to block.decrypt_blocks: one
+modular inversion mod p for all of its blocks, for either factor
+degree, one square root per degree-2 block, and a DecapsFailure naming
+the earliest failing block and its cause.
+
 All integers travel little-endian at fixed widths derived from the
 parameter set: ring coefficients in coeff_bytes, unreduced ciphertext
 values in value_bytes, factor coefficients in 8 bytes.  Serialized keys
@@ -24,22 +29,15 @@ from itertools import accumulate, chain
 from .block import (
     BlockCiphertext,
     PublicKey,
-    decrypt_block,
+    decrypt_blocks,
     encrypt_block,
     format_plaintext,
-    linear_fraction,
     private_key,
 )
-from .errors import (
-    DecapsFailure,
-    HppkError,
-    MalformedEncoding,
-    NotCoprime,
-    PayloadTooLarge,
-)
+from .errors import MalformedEncoding, NotCoprime, PayloadTooLarge
 # kem calls no mod_inverse; perfbench/tests/test_perfbench.py's
 # test_tracer_wraps_import_sites_and_restores_them needs the name bound here
-from .modmath import batch_inverse, mod_inverse  # noqa: F401
+from .modmath import mod_inverse  # noqa: F401
 from .params import SHARED_SECRET_BYTES
 
 
@@ -106,25 +104,14 @@ def encaps(pk, params, rng):
 
 
 def decaps(sk, params, ct):
-    """Recover the shared secret; any block error is wrapped with its index.
+    """Recover the shared secret; a block error is raised as DecapsFailure.
 
-    Blocks are checked in order and the first failure is raised.  For
-    factor_degree 1 every block is first reduced to a checked fraction
-    (block.linear_fraction); all denominators are then inverted with one
-    modular inversion.  Degree-2 blocks go through decrypt_block.
+    block.decrypt_blocks takes the whole ciphertext: one modular
+    inversion for all of its blocks, whatever the factor degree, and one
+    square root per degree-2 block.  The earliest failing block is
+    reported, with its index and cause.
     """
-    solve = linear_fraction if params.factor_degree == 1 else decrypt_block
-    results = []
-    for k, blk in enumerate(ct.blocks):
-        try:
-            results.append(solve(sk, params, blk))
-        except HppkError as err:
-            raise DecapsFailure(k, err) from err
-    if params.factor_degree == 1:
-        p = params.prime
-        inverses = batch_inverse([den for _, den in results], p)
-        results = [num * inv % p for (num, _), inv in zip(results, inverses)]
-    return _pack_payloads(results, params)
+    return _pack_payloads(decrypt_blocks(sk, params, ct.blocks), params)
 
 
 # -- wire formats

@@ -122,9 +122,11 @@ def test_criterion_04_homomorphic_property_suite():
         ((ea, eb, esum),) = fhe.encrypt_coeffs(key, ((a, b, a + b),))
         assert esum == (ea + eb) % modulus
         r = rng.randrange(p)
-        assert fhe.eval_cipher_poly(fhe.encrypt_coeffs(key, ((a,),)), ((r,),)) == ea * r
+        ((ca,),) = fhe.encrypt_coeffs(key, ((a,),))
+        assert fhe.eval_cipher_poly((ca,), (r,)) == ea * r
     # decrypt-of-encrypt round trips, linear and quadratic monomial shapes,
-    # each polynomial a 1 x T matrix against its own table of monomial values
+    # each polynomial a 1 x T matrix, its one row against its own flat table
+    # of monomial values
     for shape in ("linear", "quadratic"):
         for _ in range(5000):
             p = rng.choice(primes)
@@ -145,15 +147,15 @@ def test_criterion_04_homomorphic_property_suite():
             key = fhe.he_keygen(modulus, _Wrap(rng))
             rows = (tuple(rng.randrange(p) for _ in monomials),)
             assignment = tuple(rng.randrange(p) for _ in range(m))
-            table = (tuple(
+            table = tuple(
                 math.prod(pow(v, e, p) for v, e in zip(assignment, mono)) % p
                 for mono in monomials
-            ),)
+            )
             cipher = fhe.encrypt_coeffs(key, rows)
             assert fhe.decrypt_coeffs(key, cipher, p) == rows
-            value = fhe.eval_cipher_poly(cipher, table)
+            value = fhe.eval_cipher_poly(cipher[0], table)
             assert fhe.decrypt_value(key, value, p) == (
-                fhe.eval_cipher_poly(rows, table) % p
+                fhe.eval_cipher_poly(rows[0], table) % p
             )
     _report(4, "additive/scalar identities (10^4 pairs) and round trips "
                "(linear + quadratic shapes): zero failures")

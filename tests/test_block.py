@@ -84,9 +84,8 @@ def test_keygen_redraws_zero_base_matrix(toy_params):
 
 
 def test_monomial_table_toy(toy_params):
-    assert monomial_table(toy_params, 8, (3, 6)) == [
-        [3, 6], [11, 9], [10, 7]
-    ]
+    # row-major over the 3 x 2 coefficient positions
+    assert monomial_table(toy_params, 8, (3, 6)) == [3, 6, 11, 9, 10, 7]
 
 
 def test_encrypt_block_toy(toy_params, toy_keypair):
@@ -127,8 +126,8 @@ def test_stacked_evaluation_splits_at_the_proof_width(params):
     # largest sum the ring-size proof has to cover
     p, w = params.prime, params.value_bits
     top = _filled(params, (1 << params.ring_bits) - 1)
-    table = _filled(params, p - 1)
-    v1 = fhe.eval_cipher_poly(top, table)
+    table = [p - 1] * params.term_count
+    v1 = fhe.eval_cipher_poly([c for row in top for c in row], table)
     assert v1 < 1 << w
     v = fhe.eval_cipher_poly(fhe.stack(top, top, w), table)
     assert (v & ((1 << w) - 1), v >> w) == (v1, v1)
@@ -381,6 +380,28 @@ def test_degree2_stray_root_rate():
     sigma = (blocks * predicted * (1 - predicted)) ** 0.5
     assert blocks == 20_480
     assert abs(ambiguous - blocks * predicted) < 4 * sigma
+
+
+def test_degree2_vanishing_quadratic_is_solved_by_its_linear_root():
+    # f1 - f2 = x - x0: every block that encrypts x0 unmasks to c1 = c2,
+    # so the quadratic coefficient c2*f1[2] - c1*f2[2] of its equation
+    # vanishes and x0 is the root of the linear rest
+    p = DEG2.prime
+    payload = 0x0012_3456_789A_BCDE
+    x0 = format_plaintext(payload, DEG2)
+    ring, _ = keygen(DEG2, DeterministicStream(b"deg2-linear/ring"))
+    sk, pk = keypair_from_values(
+        DEG2, ring.modulus, ring.r1, ring.r2, (5, 7, 1), ((5 + x0) % p, 6, 1), TOY_B
+    )
+    rng = random.Random(11)
+    for _ in range(20):
+        noise = [rng.randrange(1, p) for _ in range(DEG2.noise_vars)]
+        ct = encrypt_block(pk, DEG2, x0, noise)
+        c1 = fhe.decrypt_value(sk.key1, ct.value1, p)
+        c2 = fhe.decrypt_value(sk.key2, ct.value2, p)
+        assert c1 == c2 != 0
+        assert (c2 * sk.f1[2] - c1 * sk.f2[2]) % p == 0
+        assert decrypt_block(sk, DEG2, ct) == payload
 
 
 def test_keypair_from_values_rejects_proportional(toy_params):

@@ -145,10 +145,12 @@ def test_kat_verify_suite_without_records_is_malformed(capsys, tmp_path, text):
 @pytest.mark.parametrize("extra, named", [
     ("ss = 00", "'ss' repeated within a record"),
     ("colour = blue", "unknown KAT field 'colour'"),
-], ids=["repeated-field", "unknown-field"])
+    ("seed = 00ff", "a fixture record carries no seed"),
+], ids=["repeated-field", "unknown-field", "seed-on-fixture"])
 def test_kat_verify_rejects_repeated_and_unknown_fields(capsys, tmp_path, extra, named):
     # the extra line goes before the record's correct ss line: a parser that
-    # kept the last value of a field would verify the record ok
+    # kept the last value of a field, or ignored a seed that the rebuilt
+    # fixture never reads, would verify the record ok
     text = io.StringIO()
     kat.write_suite([kat.toy_vector()], text)
     assert "\nss = 08\n" in text.getvalue()

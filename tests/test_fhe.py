@@ -106,8 +106,13 @@ def test_he_keygen_rejects_non_units():
 TOY_PLAIN1 = ((6, 7), (9, 11), (11, 8))
 TOY_CIPHER1 = ((5208, 2677), (4413, 6149), (6149, 146))
 TOY_CIPHER2 = ((6152, 3245), (3891, 6152), (3568, 2922))
-# monomial values x**i * noise_j mod 13 at x = 8, noise = (3, 6)
-TOY_TABLE = ((3, 6), (11, 9), (10, 7))
+# monomial values x**i * noise_j mod 13 at x = 8, noise = (3, 6), row-major
+TOY_TABLE = (3, 6, 11, 9, 10, 7)
+
+
+def _flat(rows):
+    """A coefficient matrix row-major, as eval_cipher_poly reads it."""
+    return [c for row in rows for c in row]
 
 
 def test_encrypt_coeffs_toy_values():
@@ -120,15 +125,15 @@ def test_encrypt_coeffs_toy_values():
 
 
 def test_eval_cipher_poly_toy_values():
-    assert fhe.eval_cipher_poly(TOY_CIPHER1, TOY_TABLE) == 198082
-    assert fhe.eval_cipher_poly(TOY_CIPHER1, ((0, 0),) * 3) == 0
-    assert fhe.eval_cipher_poly(TOY_CIPHER2, TOY_TABLE) == 192229
+    assert fhe.eval_cipher_poly(_flat(TOY_CIPHER1), TOY_TABLE) == 198082
+    assert fhe.eval_cipher_poly(_flat(TOY_CIPHER1), (0,) * 6) == 0
+    assert fhe.eval_cipher_poly(_flat(TOY_CIPHER2), TOY_TABLE) == 192229
 
 
 def test_decrypt_value_toy():
     key1 = fhe.HomomorphicKey(6798, 4267)
     # 6*3 + 9*11 + 11*10 + 7*6 + 11*9 + 8*7
-    assert fhe.eval_cipher_poly(TOY_PLAIN1, TOY_TABLE) == 424
+    assert fhe.eval_cipher_poly(_flat(TOY_PLAIN1), TOY_TABLE) == 424
     # reducing by S itself leaves the unmasked plain integer sum
     assert fhe.decrypt_value(key1, 198082, 6798) == 424
     assert fhe.decrypt_value(key1, 198082, 13) == 8
@@ -139,14 +144,14 @@ def test_decrypt_value_toy():
 
 
 def _monomial_row(monomials, assignment, p):
-    """1 x T table: each monomial's value mod p, in exponent-vector order."""
+    """Each monomial's value mod p, in exponent-vector order."""
     row = []
     for exponents in monomials:
         v = 1
         for value, e in zip(assignment, exponents):
             v = v * pow(value, e, p) % p
         row.append(v)
-    return (tuple(row),)
+    return row
 
 
 def _random_roundtrip(rng, p, monomials, nvars):
@@ -158,9 +163,9 @@ def _random_roundtrip(rng, p, monomials, nvars):
     table = _monomial_row(monomials, assignment, p)
     cipher = fhe.encrypt_coeffs(key, rows)
     assert fhe.decrypt_coeffs(key, cipher, p) == rows
-    value = fhe.eval_cipher_poly(cipher, table)
+    value = fhe.eval_cipher_poly(cipher[0], table)
     assert value < term_count * key.modulus * p
-    assert fhe.decrypt_value(key, value, p) == fhe.eval_cipher_poly(rows, table) % p
+    assert fhe.decrypt_value(key, value, p) == fhe.eval_cipher_poly(rows[0], table) % p
 
 
 class _wrap:
@@ -219,6 +224,6 @@ def test_scalar_multiplicative_homomorphism():
         scalar = rng.randrange(p)
         cipher = fhe.encrypt_coeffs(key, ((a,),))
         assert (
-            fhe.eval_cipher_poly(cipher, ((scalar,),))
+            fhe.eval_cipher_poly(cipher[0], (scalar,))
             == fhe.encrypt_value(key, a) * scalar
         )

@@ -8,7 +8,9 @@ from hppk import fhe, kem
 from hppk import kat
 from hppk.block import (
     BlockCiphertext,
+    decrypt_block,
     encrypt_block,
+    format_plaintext,
     keygen,
     keypair_from_values,
     monomial_table,
@@ -135,8 +137,6 @@ def test_decaps_reports_earliest_failure(toy_params, toy_keypair, first):
 
 
 def test_decaps_matches_per_block_decryption(toy_params, toy_keypair):
-    from hppk.block import decrypt_block
-
     sk, pk = toy_keypair
     rng = DeterministicStream(b"toy-batch")
     blocks = []
@@ -284,8 +284,6 @@ def test_toy_full_kem_blocks(toy_params):
     # at p = 13 a block hits a zero denominator with probability about 2/13
     # (see test_toy_zero_denominator_rate), so a full 64-block secret rarely
     # survives; check block-level correctness
-    from hppk.block import decrypt_block
-
     rng = DeterministicStream(b"toy-kem")
     sk, pk = keygen(toy_params, rng)
     ct, ss = kem.encaps(pk, toy_params, rng)
@@ -359,9 +357,10 @@ def test_one_key_under_two_ring_widths():
     x, noise = 5, [7, 0, DEFAULT_PRIME_64 - 2]
     for params in (narrow, wide, narrow, wide):
         table = monomial_table(params, x, noise)
-        expected = BlockCiphertext(
-            fhe.eval_cipher_poly(pk.p1, table), fhe.eval_cipher_poly(pk.p2, table)
-        )
+        expected = BlockCiphertext(*(
+            fhe.eval_cipher_poly([c for row in m for c in row], table)
+            for m in (pk.p1, pk.p2)
+        ))
         assert encrypt_block(pk, params, x, noise) == expected
     # a key over a wider ring is over-wide for the narrow profile, also
     # after a profile of the same value width, with a 32-bit prime and a
@@ -484,6 +483,65 @@ def test_first_decaps_inverts_each_unit_once(inversions):
     assert sk.key2.mult_inv == pow(sk.r2, -1, sk.modulus)
 
 
+DEG2 = ParameterSet(
+    prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=2, noise_vars=3,
+    label="deg2",
+)
+
+
+def test_degree2_decaps_inverts_once_per_ciphertext(inversions):
+    rng = DeterministicStream(b"deg2-one-inversion")
+    sk, pk = keygen(DEG2, rng)
+    kem.decaps(sk, DEG2, kem.encaps(pk, DEG2, rng)[0])  # inverts the units
+    inversions.clear()
+    failures = 0
+    for _ in range(64):
+        ct, ss = kem.encaps(pk, DEG2, rng)
+        try:
+            assert kem.decaps(sk, DEG2, ct) == ss
+        except DecapsFailure as err:
+            assert isinstance(err.cause, NoValidRoot)
+            failures += 1
+    assert failures < 5
+    # five blocks each, and one inversion mod p per ciphertext: of the
+    # product of its divisors
+    assert len(inversions) == 64
+    assert {m for _, m in inversions} == {DEG2.prime}
+
+
+def _deg2_failures(sk, pk, rng):
+    """(good blocks, {cause: a block failing with it}) under a degree-2 key."""
+    good = [
+        encrypt_block(pk, DEG2, format_plaintext(rng.bits(DEG2.payload_bits), DEG2),
+                      rng.below_many(DEG2.prime, DEG2.noise_vars))
+        for _ in range(3)
+    ]
+    while True:
+        # an unformatted secret: both roots fail their flags, bar 1 in 2**7
+        x = rng.below(DEG2.prime)
+        stray = encrypt_block(pk, DEG2, x, rng.below_many(DEG2.prime, DEG2.noise_vars))
+        try:
+            decrypt_block(sk, DEG2, stray)
+        except NoValidRoot:
+            break
+    return good, {ZeroDenominator: _crafted_block(sk, 8, 0), NoValidRoot: stray}
+
+
+@pytest.mark.parametrize("first", [NoValidRoot, ZeroDenominator])
+def test_degree2_decaps_reports_earliest_failure_across_passes(first):
+    # ZeroDenominator is found while unmasking, NoValidRoot while solving:
+    # the earlier block wins either way
+    rng = DeterministicStream(b"deg2-earliest")
+    sk, pk = keygen(DEG2, rng)
+    (g0, g1, g2), bad = _deg2_failures(sk, pk, rng)
+    second = ZeroDenominator if first is NoValidRoot else NoValidRoot
+    ct = kem.KemCiphertext((g0, bad[first], g1, bad[second], g2))
+    with pytest.raises(DecapsFailure) as err:
+        kem.decaps(sk, DEG2, ct)
+    assert err.value.block_index == 1
+    assert isinstance(err.value.cause, first)
+
+
 def test_toy_zero_denominator_rate():
     # c2 = b(x) * f2(x) vanishes mod p when the noise zeroes b(x), about 1/p,
     # or when x is the root of f2, 1/p: 2/p - 1/p^2 per block in all.  An
@@ -491,8 +549,6 @@ def test_toy_zero_denominator_rate():
     # coefficient is b(x) * (f2[0]f1[1] - f1[0]f2[1]), nonzero with c2.
     # The bound, 5 sigma of the binomial at the pinned 5,120 blocks, was
     # fixed before the first run.
-    from hppk.block import decrypt_block
-
     params = PARAMETER_SETS["toy"]
     p = params.prime
     blocks = zero = degenerate = 0
