@@ -26,9 +26,18 @@ divisor, each degree-2 block takes one square root, and the earliest
 failing block is the one reported.  decrypt_block is its one-block case.
 
 A key's checks against a profile live in private_key and PublicKey.stacked.
+
+A ciphertext value is checked once, where it enters.  A parsed value
+meets kem.deserialize_ct's width rule: below 2**value_bits <= 2**256,
+and never negative.  A value encrypt_block computes needs no check:
+PublicKey.stacked admits only entries in [0, 2**ring_bits), and the
+ring-size bound then keeps each map's evaluation below 2**value_bits.
+So both build their BlockCiphertext through _make, and only a block
+built by hand meets the constructor's capacity check.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fhe
 from .errors import (
@@ -123,16 +132,26 @@ class PublicKey:
         return cached[1]
 
 
-@dataclass(frozen=True)
-class BlockCiphertext:
-    """Two unreduced integer evaluations of the cipher maps."""
-
+class _BlockValues(NamedTuple):
     value1: int
     value2: int
 
-    def __post_init__(self):
-        ensure_wide(self.value1, "ciphertext value")
-        ensure_wide(self.value2, "ciphertext value")
+
+class BlockCiphertext(_BlockValues):
+    """Two unreduced integer evaluations of the cipher maps, as a value tuple.
+
+    The constructor holds a hand-built block to the 256-bit capacity
+    contract (TypeError or CapacityExceeded).  encrypt_block and
+    kem.deserialize_ct build through _make, which checks nothing: their
+    values are bounded where they enter (see the module docstring).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value1, value2):
+        return super().__new__(
+            cls, ensure_wide(value1, "ciphertext value"), ensure_wide(value2, "ciphertext value")
+        )
 
 
 # -- CRC flag handling (factor_degree = 2 profiles)
@@ -329,7 +348,9 @@ def encrypt_block(pk, params, x, noise):
     """Evaluate both cipher maps over the integers; no final reduction.
 
     One evaluation of the stacked key pk.stacked(params) against the
-    monomial table gives value1 + (value2 << value_bits).
+    monomial table gives value1 + (value2 << value_bits).  The block is
+    built unchecked: the stacked key's entry check and the ring-size
+    bound already keep both values in [0, 2**value_bits).
     """
     p = params.prime
     if not 0 <= x < p:
@@ -342,7 +363,7 @@ def encrypt_block(pk, params, x, noise):
         raise AllZeroNoise("all-zero noise would produce a trivial ciphertext")
     w = params.value_bits
     v = fhe.eval_cipher_poly(pk.stacked(params), monomial_table(params, x, noise))
-    return BlockCiphertext(v & ((1 << w) - 1), v >> w)
+    return BlockCiphertext._make((v & ((1 << w) - 1), v >> w))
 
 
 def _flagged_root(coeffs, inv, params):

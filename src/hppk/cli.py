@@ -59,27 +59,39 @@ def _at_least_one(value, flag):
         raise UsageError(f"{flag} must be at least 1")
 
 
-def _write(path, data, mode="wb"):
+def _already_exists(path):
+    return UsageError(f"{path} already exists; name another output with --out")
+
+
+def _write(path, data, exclusive=False):
     """Write one output file; a path that cannot be written is a usage error,
-    and so is an existing file under mode "xb", which creates it exclusively.
+    and so is an existing file when exclusive, which creates it exclusively.
     """
     try:
-        with path.open(mode) as fh:
+        with path.open("xb" if exclusive else "wb") as fh:
             fh.write(data)
     except FileExistsError as err:
-        raise UsageError(f"{path} already exists; name another output with --out") from err
+        raise _already_exists(path) from err
     except OSError as err:
         raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _output_paths(out, default, suffixes):
-    """The output files out (or default) names, one per suffix; a path with an
-    empty name, such as "." or "/", is a usage error.
+    """(paths, exclusive): one output file per suffix, appended to the basename
+    out, or without out to the derived default.  A name the user gives may be
+    replaced; a derived one is created exclusively, so an existing one is a
+    usage error before anything is written.  A basename with no file name,
+    such as "." or "/", is a usage error.
     """
     base = Path(out or default)
     if not base.name:
         raise UsageError(f"output path {str(base)!r} has no file name")
-    return [base.with_suffix(suffix) for suffix in suffixes]
+    paths = [base.with_name(base.name + suffix) for suffix in suffixes]
+    if not out:
+        for path in paths:
+            if path.exists():
+                raise _already_exists(path)
+    return paths, not out
 
 
 def _profile(args):
@@ -104,10 +116,10 @@ def _add_profile_flags(sub):
 def _cmd_keygen(args):
     params = _profile(args)
     rng = _rng_from(args.seed)
+    (pk_path, sk_path), new = _output_paths(args.out, params.label, (".hpk", ".hsk"))
     sk, pk = keygen(params, rng)
-    pk_path, sk_path = _output_paths(args.out, params.label, (".hpk", ".hsk"))
-    _write(pk_path, kem.serialize_pk(pk, params))
-    _write(sk_path, kem.serialize_sk(sk, params))
+    _write(pk_path, kem.serialize_pk(pk, params), new)
+    _write(sk_path, kem.serialize_sk(sk, params), new)
     print(f"wrote {pk_path} ({params.public_key_bytes} bytes)")
     print(f"wrote {sk_path} ({params.secret_key_bytes} bytes)")
     return EXIT_OK
@@ -117,10 +129,10 @@ def _cmd_encaps(args):
     params = _profile(args)
     rng = _rng_from(args.seed)
     pk = kem.deserialize_pk(Path(args.pk).read_bytes(), params)
+    (ct_path, ss_path), new = _output_paths(args.out, Path(args.pk).stem, (".hct", ".hss"))
     ct, ss = kem.encaps(pk, params, rng)
-    ct_path, ss_path = _output_paths(args.out, Path(args.pk).stem, (".hct", ".hss"))
-    _write(ct_path, kem.serialize_ct(ct, params))
-    _write(ss_path, ss)
+    _write(ct_path, kem.serialize_ct(ct, params), new)
+    _write(ss_path, ss, new)
     print(f"wrote {ct_path} ({params.ciphertext_bytes} bytes)")
     print(f"wrote {ss_path} ({len(ss)} bytes)")
     return EXIT_OK
@@ -131,13 +143,10 @@ def _cmd_decaps(args):
     sk = kem.deserialize_sk(Path(args.sk).read_bytes(), params)
     ct = kem.deserialize_ct(Path(args.ct).read_bytes(), params)
     ss = kem.decaps(sk, params, ct)
-    if args.out:
-        out, mode = Path(args.out), "wb"
-    else:
-        # the default name is the one encaps gave the encapsulator's secret
-        # next to the same ciphertext, which must not be overwritten
-        out, mode = Path(args.ct).with_suffix(".hss"), "xb"
-    _write(out, ss, mode)
+    # the default name is the one encaps gave the encapsulator's secret next
+    # to the same ciphertext; like every derived name it is only created
+    out = Path(args.out or Path(args.ct).with_suffix(".hss"))
+    _write(out, ss, exclusive=not args.out)
     print(f"wrote {out} ({len(ss)} bytes)")
     return EXIT_OK
 
@@ -300,14 +309,16 @@ def build_parser():
     p = sub.add_parser("keygen", help="generate a key pair")
     _add_profile_flags(p)
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
-    p.add_argument("--out", help="output basename (default: profile label)")
+    p.add_argument("--out", help="output basename, .hpk/.hsk appended (default: "
+                                 "profile label, whose files must not exist yet)")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("encaps", help="encapsulate a shared secret")
     _add_profile_flags(p)
     p.add_argument("--pk", required=True, help="public key file (.hpk)")
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
-    p.add_argument("--out", help="output basename (default: pk stem)")
+    p.add_argument("--out", help="output basename, .hct/.hss appended (default: "
+                                 "pk stem, whose files must not exist yet)")
     p.set_defaults(func=_cmd_encaps)
 
     p = sub.add_parser("decaps", help="recover a shared secret")

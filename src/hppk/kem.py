@@ -18,13 +18,18 @@ carry no parameter header; the parameter set travels out of band.
 
 The key parsers only split bytes: block.private_key and PublicKey.stacked
 check the keys, and their rejections are re-raised as MalformedEncoding.
+A ciphertext's values are checked once, by deserialize_ct's width rule;
+encaps needs no check, as block.encrypt_block's values are bounded by
+the stacked key's entry check and the ring-size bound (see block).
+Ciphertexts are value tuples, and both build theirs unchecked through
+_make; only the public constructors check what a caller builds by hand.
 
 File extensions: .hpk public key, .hsk secret key, .hct ciphertext,
 .hss shared secret (32 raw bytes).
 """
 
-from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
+from typing import NamedTuple
 
 from .block import (
     BlockCiphertext,
@@ -41,13 +46,23 @@ from .modmath import mod_inverse  # noqa: F401
 from .params import SHARED_SECRET_BYTES
 
 
-@dataclass(frozen=True)
-class KemCiphertext:
+class _KemBlocks(NamedTuple):
     blocks: tuple
 
-    def __post_init__(self):
-        if not self.blocks:
+
+class KemCiphertext(_KemBlocks):
+    """A ciphertext's blocks, as a value tuple.
+
+    The constructor rejects an empty ciphertext (ValueError); encaps and
+    deserialize_ct build through _make, as their block_count is at least 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, blocks):
+        if not blocks:
             raise ValueError("at least one block required")
+        return super().__new__(cls, blocks)
 
 
 def _sample_block(params, rng):
@@ -100,7 +115,7 @@ def encaps(pk, params, rng):
         x, noise, payload = _sample_block(params, rng)
         blocks.append(encrypt_block(pk, params, x, noise))
         payloads.append(payload)
-    return KemCiphertext(tuple(blocks)), _pack_payloads(payloads, params)
+    return KemCiphertext._make((tuple(blocks),)), _pack_payloads(payloads, params)
 
 
 def decaps(sk, params, ct):
@@ -124,11 +139,15 @@ def _pack(*runs):
 
 def _unpack(data, what, *runs):
     """Inverse of _pack for (count, width) runs; the one length check."""
-    widths = [width for count, width in runs for _ in range(count)]
-    if len(data) != sum(widths):
-        raise MalformedEncoding(f"{what} must be {sum(widths)} bytes, got {len(data)}")
-    offsets = accumulate(widths, initial=0)
-    return [int.from_bytes(data[i : i + w], "little") for i, w in zip(offsets, widths)]
+    size = sum(count * width for count, width in runs)
+    if len(data) != size:
+        raise MalformedEncoding(f"{what} must be {size} bytes, got {len(data)}")
+    values, at = [], 0
+    for count, width in runs:
+        values += [int.from_bytes(data[i : i + width], "little")
+                   for i in range(at, at + count * width, width)]
+        at += count * width
+    return values
 
 
 def serialize_pk(pk, params):
@@ -167,17 +186,18 @@ def deserialize_sk(data, params):
 
 def serialize_ct(ct, params):
     """Blocks in order, (value1, value2) per block, value_bytes each."""
-    values = [v for blk in ct.blocks for v in (blk.value1, blk.value2)]
-    return _pack((values, params.value_bytes))
+    return _pack((chain.from_iterable(ct.blocks), params.value_bytes))
 
 
 def deserialize_ct(data, params):
-    """Strict inverse of serialize_ct."""
+    """Strict inverse of serialize_ct, and the one check of a parsed value.
+
+    Every value must lie below 2**value_bits, at most 2**256, which is
+    stricter than the capacity contract, and from_bytes never gives a
+    negative; so the blocks are built unchecked.
+    """
     values = _unpack(data, "ciphertext", (2 * params.block_count, params.value_bytes))
     if max(values) >= 1 << params.value_bits:
         raise MalformedEncoding("ciphertext value exceeds its width bound")
-    blocks = tuple(
-        BlockCiphertext(values[2 * k], values[2 * k + 1])
-        for k in range(params.block_count)
-    )
-    return KemCiphertext(blocks)
+    blocks = map(BlockCiphertext._make, zip(values[::2], values[1::2]))
+    return KemCiphertext._make((tuple(blocks),))

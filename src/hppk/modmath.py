@@ -6,9 +6,13 @@ Every quantity handled by this package is a non-negative integer below
 bits; the wire format reserves max(8, bit_length(term_count)) margin
 bits (ParameterSet.value_bits), 208 bits in every shipped profile, and
 256 leaves headroom.  Python integers are exact at any size, so the
-capacity contract is enforced at construction and parsing boundaries
-with :func:`ensure_wide` instead of on every operation; the ring-size
-precondition guarantees intermediate values stay in range.
+capacity contract is checked once, where a value enters, instead of on
+every operation: :func:`ensure_wide` on a value built by hand (a ring
+modulus, a hand-built ciphertext block), and kem.deserialize_ct's
+stricter width rule (below 2**value_bits) on a parsed ciphertext.  A
+ciphertext that block.encrypt_block computes is not checked again: the
+stacked public key's entries lie in [0, 2**ring_bits), and the
+ring-size precondition then keeps every value and intermediate in range.
 
 The poly_* functions do arithmetic in F_p[t], for the factor-label rule
 of analysis.  No floating point is used anywhere in this module.

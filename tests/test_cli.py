@@ -192,6 +192,64 @@ def test_decaps_without_out_keeps_the_encapsulators_secret(capsys, tmp_path):
     assert (tmp_path / "bob.hss").read_bytes() == ss_enc
 
 
+def test_out_is_a_basename_with_suffixes_appended(capsys, tmp_path):
+    # a dotted tail of --out is part of the name, not a suffix to replace
+    for name in ("alice.v1", "alice.v2"):
+        code, _, _ = _run(capsys, "keygen", "--level", "1", "--out", name)
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alice.v1.hpk", "alice.v1.hsk", "alice.v2.hpk", "alice.v2.hsk"]
+    assert (tmp_path / "alice.v1.hsk").read_bytes() != (tmp_path / "alice.v2.hsk").read_bytes()
+    # the name encaps derives from the key keeps its dotted tail too
+    code, out, _ = _run(capsys, "encaps", "--level", "1", "--pk", "alice.v1.hpk")
+    assert code == 0
+    assert out.splitlines()[0] == "wrote alice.v1.hct (208 bytes)"
+    code, _, _ = _run(capsys, "encaps", "--level", "1", "--pk", "alice.v1.hpk",
+                      "--out", "session.2")
+    assert code == 0
+    assert (tmp_path / "session.2.hct").exists() and (tmp_path / "session.2.hss").exists()
+
+
+@pytest.mark.parametrize("existing", [".hpk", ".hsk"])
+def test_keygen_without_out_never_replaces_a_key(capsys, tmp_path, existing):
+    kept = tmp_path / f"level1-nb1{existing}"
+    kept.write_bytes(b"old key")
+    code, out, err = _run(capsys, "keygen", "--level", "1")
+    assert (code, out) == (1, "")
+    assert err == f"hppk: {kept.name} already exists; name another output with --out\n"
+    # nothing is written, not even the file that did not exist
+    assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"old key"
+
+
+@pytest.mark.parametrize("existing", [".hct", ".hss"])
+def test_encaps_without_out_never_replaces_a_session(capsys, tmp_path, existing):
+    _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "alice")
+    kept = tmp_path / f"alice{existing}"
+    kept.write_bytes(b"old session")
+    code, out, err = _run(capsys, "encaps", "--level", "1", "--pk", "alice.hpk")
+    assert (code, out) == (1, "")
+    assert err == f"hppk: {kept.name} already exists; name another output with --out\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["alice.hpk", "alice.hsk", kept.name])
+    assert kept.read_bytes() == b"old session"
+
+
+def test_named_outputs_may_be_replaced(capsys, tmp_path):
+    # a name the user gives is theirs to reuse: --out and the KAT suite path
+    for seed in ("11" * 32, "22" * 32):
+        assert _run(capsys, "keygen", "--level", "1", "--seed", seed, "--out", "k")[0] == 0
+        assert _run(capsys, "encaps", "--level", "1", "--pk", "k.hpk", "--seed", seed,
+                    "--out", "s")[0] == 0
+        assert _run(capsys, "decaps", "--level", "1", "--sk", "k.hsk", "--ct", "s.hct",
+                    "--out", "s.hss")[0] == 0
+        assert _run(capsys, "kat", "generate", "suite.kat", "--count", "1",
+                    "--seed", seed)[0] == 0
+    _run(capsys, "keygen", "--level", "1", "--seed", "22" * 32, "--out", "fresh")
+    assert (tmp_path / "k.hsk").read_bytes() == (tmp_path / "fresh.hsk").read_bytes()
+    assert _run(capsys, "kat", "verify", "suite.kat")[0] == 0
+
+
 def test_tampered_ciphertext_decaps_failure(capsys, tmp_path):
     _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "k")
     _run(capsys, "encaps", "--level", "1", "--pk", "k.hpk",

@@ -16,6 +16,7 @@ from hppk.block import (
     monomial_table,
 )
 from hppk.errors import (
+    CapacityExceeded,
     DecapsFailure,
     DegenerateEquation,
     MalformedEncoding,
@@ -23,7 +24,7 @@ from hppk.errors import (
     NoValidRoot,
     ZeroDenominator,
 )
-from hppk.modmath import WIDE_BITS, mod_inverse
+from hppk.modmath import WIDE_BITS, ensure_wide, mod_inverse
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
@@ -434,19 +435,24 @@ def test_invalid_private_values_fail_both_entry_points(toy_params, change, error
 # -- a key inverts its units only when it first decrypts
 
 
+def _counted(monkeypatch, fn):
+    """The arguments of every call of fn, through any hppk module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hppk" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
 @pytest.fixture
 def inversions(monkeypatch):
     """(value, modulus) of every mod_inverse call, through any hppk module."""
-    calls = []
-
-    def counted(a, m):
-        calls.append((a, m))
-        return mod_inverse(a, m)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hppk" and getattr(module, "mod_inverse", None) is mod_inverse:
-            monkeypatch.setattr(module, "mod_inverse", counted)
-    return calls
+    return _counted(monkeypatch, mod_inverse)
 
 
 def test_keys_are_built_and_parsed_without_inverting(toy_params, inversions):
@@ -570,3 +576,56 @@ def test_toy_zero_denominator_rate():
     sigma = (predicted * (1 - predicted) / blocks) ** 0.5
     assert (blocks, degenerate) == (5120, 0)
     assert abs(zero / blocks - predicted) < 5 * sigma
+
+
+# -- ciphertexts are value tuples, checked where their values enter
+
+
+def test_ciphertext_cycle_checks_no_value_again(monkeypatch):
+    # encaps' values are bounded by the stacked key's entry check and the
+    # ring-size bound, the parsed ones by deserialize_ct's width rule
+    params = PARAMETER_SETS["level1-nb1"]
+    rng = DeterministicStream(b"checked-where-they-enter")
+    sk, pk = keygen(params, rng)
+    checks = _counted(monkeypatch, ensure_wide)
+    ct, ss = kem.encaps(pk, params, rng)
+    wire = kem.deserialize_ct(kem.serialize_ct(ct, params), params)
+    assert kem.decaps(sk, params, wire) == ss
+    assert not checks, f"{len(checks)} ensure_wide calls"
+
+
+@pytest.mark.parametrize("values, error", [
+    ((-1, 0), CapacityExceeded),
+    ((0, -1), CapacityExceeded),
+    ((1 << 256, 0), CapacityExceeded),
+    ((1.0, 0), TypeError),
+    ((True, 0), TypeError),
+], ids=["negative", "negative-value2", "2^256", "float", "bool"])
+def test_hand_built_blocks_are_checked(values, error):
+    with pytest.raises(error):
+        BlockCiphertext(*values)
+    with pytest.raises(error):
+        BlockCiphertext(value1=values[0], value2=values[1])
+
+
+def test_hand_built_ciphertext_needs_a_block():
+    with pytest.raises(ValueError, match="at least one block"):
+        kem.KemCiphertext(())
+
+
+@pytest.mark.parametrize(
+    "params",
+    [*(PARAMETER_SETS[label] for label in sorted(EXPECTED_SIZES)), DEG2,
+     PARAMETER_SETS["toy"]],
+    ids=lambda params: params.label,
+)
+def test_parsed_blocks_equal_the_encapsulated_ones(params):
+    rng = DeterministicStream(f"parsed-blocks/{params.label}".encode())
+    _, pk = keygen(params, rng)
+    ct, _ = kem.encaps(pk, params, rng)
+    wire = kem.deserialize_ct(kem.serialize_ct(ct, params), params)
+    assert type(ct) is type(wire) is kem.KemCiphertext
+    assert wire == ct and len(wire.blocks) == params.block_count
+    for built, parsed in zip(ct.blocks, wire.blocks):
+        assert type(built) is type(parsed) is BlockCiphertext
+        assert parsed == built == BlockCiphertext(built.value1, built.value2)
