@@ -105,29 +105,30 @@ class PublicKey:
     def shape(self):
         return len(self.p1), len(self.p1[0])
 
-    def stacked(self, params):
-        """fhe.stack(p1, p2, params.value_bits), checked and built once per profile.
+    def stacked(self, params, entries=None):
+        """fhe.stack of both maps at value_bits, checked and built once per profile.
 
-        The stacked coefficients are flat and row-major, the layout
-        fhe.eval_cipher_poly reads, so a block's evaluation flattens
-        nothing.  This is the public key's one profile check.  The
-        matrices must have the profile's (message_degree+1) x noise_vars
-        shape, and the split of a stacked evaluation is exact only when
-        every entry lies in [0, 2**ring_bits), so that each map's value
-        stays below 2**value_bits; anything else raises ValueError.  The
-        coefficients are kept on the instance outside the dataclass
-        fields, so equality, hash, repr and the wire format never see
-        them, and they are checked and rebuilt when another ParameterSet
-        object asks for them.
+        The public key's one profile check, in one pass over its entries flat,
+        map 1 then map 2, row-major (the wire order): the parse's own, or the
+        maps flattened here.  The stack is flat too, as fhe.eval_cipher_poly
+        reads it.  The matrices must have the profile's (message_degree+1) x
+        noise_vars shape, and the split of a stacked evaluation is exact only
+        when every entry lies in [0, 2**ring_bits), so that each map's value
+        stays below 2**value_bits; anything else raises ValueError.  The stack
+        is kept outside the dataclass fields, unseen by equality, hash, repr
+        and the wire format, and is checked and rebuilt when another
+        ParameterSet object asks for it.
         """
         cached = self.__dict__.get("_stacked")
         if cached is None or cached[0] is not params:
             if self.shape != (params.message_degree + 1, params.noise_vars):
                 raise ValueError("public key shape does not match the parameter set")
-            entries = [c for mat in (self.p1, self.p2) for row in mat for c in row]
+            if entries is None:
+                entries = [c for mat in (self.p1, self.p2) for row in mat for c in row]
             if min(entries) < 0 or max(entries) >= 1 << params.ring_bits:
                 raise ValueError("public key coefficient outside [0, 2**ring_bits)")
-            cached = params, fhe.stack(self.p1, self.p2, params.value_bits)
+            half = len(entries) // 2
+            cached = params, fhe.stack(entries[:half], entries[half:], params.value_bits)
             object.__setattr__(self, "_stacked", cached)
         return cached[1]
 
@@ -217,16 +218,15 @@ def build_plain_central_map(base_rows, factor, prime):
     base_rows is (base_degree+1) x noise_vars; factor has factor_degree+1
     coefficients, ascending.  Row i of the output collects every product
     base[s][j] * factor[t] with s + t = i, mod prime: a per-column
-    convolution.
+    convolution, summed in place and reduced once per entry.
     """
-    n_out = len(base_rows) - 1 + len(factor) - 1
-    cols = len(base_rows[0])
-    out = [[0] * cols for _ in range(n_out + 1)]
-    for j in range(cols):
-        for s, row in enumerate(base_rows):
-            for t, f in enumerate(factor):
-                out[s + t][j] = (out[s + t][j] + row[j] * f) % prime
-    return tuple(tuple(row) for row in out)
+    out = [[0] * len(base_rows[0]) for _ in range(len(base_rows) + len(factor) - 1)]
+    for s, row in enumerate(base_rows):
+        for t, f in enumerate(factor):
+            acc = out[s + t]
+            for j, c in enumerate(row):
+                acc[j] += c * f
+    return tuple([tuple(map(prime.__rmod__, row)) for row in out])
 
 
 def _proportional(f1, f2, prime):
@@ -405,6 +405,7 @@ def decrypt_blocks(sk, params, blocks):
     """
     p = params.prime
     key1, key2, f1, f2 = sk.key1, sk.key2, sk.f1, sk.f2
+    fhe.invert_units(key1, key2)  # both units at once, on the key's first decrypt
     quadratic = params.factor_degree == 2
     equations, divisors = [], []
     failure = None

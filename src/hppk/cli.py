@@ -129,7 +129,8 @@ def _cmd_encaps(args):
     params = _profile(args)
     rng = _rng_from(args.seed)
     pk = kem.deserialize_pk(Path(args.pk).read_bytes(), params)
-    (ct_path, ss_path), new = _output_paths(args.out, Path(args.pk).stem, (".hct", ".hss"))
+    beside_pk = Path(args.pk).with_suffix("")  # as decaps derives beside the ct
+    (ct_path, ss_path), new = _output_paths(args.out, beside_pk, (".hct", ".hss"))
     ct, ss = kem.encaps(pk, params, rng)
     _write(ct_path, kem.serialize_ct(ct, params), new)
     _write(ss_path, ss, new)
@@ -318,7 +319,7 @@ def build_parser():
     p.add_argument("--pk", required=True, help="public key file (.hpk)")
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
     p.add_argument("--out", help="output basename, .hct/.hss appended (default: "
-                                 "pk stem, whose files must not exist yet)")
+                                 "pk path minus suffix, whose files must not exist yet)")
     p.set_defaults(func=_cmd_encaps)
 
     p = sub.add_parser("decaps", help="recover a shared secret")

@@ -1,15 +1,15 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
 A key is a pair (S, R): S is a secret ring modulus and R a unit of Z_S.
-HomomorphicKey checks both when it is built and derives R^-1 mod S when it
-first decrypts, as masking needs only R.  A polynomial is held as a
-coefficient matrix (rows x cols); any polynomial with T terms is a
-1 x T matrix.  Encrypting multiplies every coefficient by R mod S.  The
-variables stay in F_p, so anyone can still evaluate the cipher
-polynomial: the sum of coefficient * monomial value over the plain
-integers, with the coefficients and a table of their monomial values
-mod p both read flat, row-major.  Whoever holds (S, R) undoes the mask
-with R^-1 mod S and reduces mod p to recover the plain polynomial value.
+HomomorphicKey checks both when it is built; masking needs only R, and the
+first decryption derives R^-1 mod S (invert_units: one inversion for a
+private key's two units).  A polynomial is a coefficient matrix (rows x
+cols); one with T terms is a 1 x T matrix.  Encrypting multiplies every
+coefficient by R mod S.  The variables stay in F_p, so anyone can still
+evaluate the cipher polynomial: the sum of coefficient * monomial value
+over the integers, with the coefficients and a table of their monomial
+values mod p both read flat, row-major.  Whoever holds (S, R) unmasks with
+R^-1 mod S and reduces mod p to recover the polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
 size condition bit_length(S) > 2*bit_length(p) + bit_length(term_count)
@@ -29,15 +29,15 @@ from functools import cached_property
 from math import gcd
 
 from .errors import NotCoprime
-from .modmath import ensure_wide, mod_inverse
+from .modmath import batch_inverse, ensure_wide
 
 
 @dataclass(frozen=True)
 class HomomorphicKey:
     """The pair (S, R): a ring modulus and a unit of Z_S.
 
-    R^-1 mod S is derived on first use.  A modulus that is not an int
-    raises TypeError, a negative one or one wider than 256 bits
+    R^-1 mod S is derived on first use, by invert_units.  A modulus that
+    is not an int raises TypeError, a negative one or one wider than 256 bits
     CapacityExceeded.  mult outside (0, S) raises ValueError, so S >= 2,
     and a non-unit NotCoprime.
     """
@@ -54,7 +54,17 @@ class HomomorphicKey:
 
     @cached_property
     def mult_inv(self):
-        return mod_inverse(self.mult, self.modulus)
+        return invert_units(self)[0]
+
+
+def invert_units(*keys):
+    """R^-1 of keys over one modulus S: one batch_inverse fills the mult_inv
+    cache of those that lack it, as each mult was checked a unit when built."""
+    todo = [key for key in keys if "mult_inv" not in key.__dict__]
+    if todo:
+        for key, inv in zip(todo, batch_inverse([k.mult for k in todo], todo[0].modulus)):
+            key.__dict__["mult_inv"] = inv
+    return [key.mult_inv for key in keys]
 
 
 def ring_gen(bits, rng):
@@ -99,16 +109,14 @@ def eval_cipher_poly(coeffs, values):
 
 
 def stack(a, b, width):
-    """Entry-wise a + (b << width) of two same-shape coefficient matrices,
-    flat and row-major, the layout eval_cipher_poly reads.
+    """Entry-wise a + (b << width) of two coefficient matrices of one shape,
+    each given flat and row-major, the layout eval_cipher_poly reads.
 
     eval_cipher_poly of the result is v_a + (v_b << width), which splits
     back into v_a and v_b only when v_a < 2**width; the caller bounds the
     entries of a so that it is.
     """
-    return tuple(
-        x + (y << width) for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
+    return tuple(x + (y << width) for x, y in zip(a, b))
 
 
 def decrypt_value(key, value, prime):

@@ -142,9 +142,9 @@ def _unpack(data, what, *runs):
     size = sum(count * width for count, width in runs)
     if len(data) != size:
         raise MalformedEncoding(f"{what} must be {size} bytes, got {len(data)}")
-    values, at = [], 0
+    values, at, from_bytes = [], 0, int.from_bytes
     for count, width in runs:
-        values += [int.from_bytes(data[i : i + width], "little")
+        values += [from_bytes(data[i : i + width], "little")
                    for i in range(at, at + count * width, width)]
         at += count * width
     return values
@@ -156,13 +156,13 @@ def serialize_pk(pk, params):
 
 
 def deserialize_pk(data, params):
-    """Strict inverse of serialize_pk; the key comes back checked and stacked."""
+    """Strict inverse of serialize_pk; the flat entries are checked and stacked in one pass."""
     n, cols = params.message_degree + 1, params.noise_vars
     entries = _unpack(data, "public key", (2 * n * cols, params.coeff_bytes))
     rows = [tuple(entries[i : i + cols]) for i in range(0, 2 * n * cols, cols)]
     pk = PublicKey(tuple(rows[:n]), tuple(rows[n:]))
     try:
-        pk.stacked(params)
+        pk.stacked(params, entries)
     except ValueError as err:
         raise MalformedEncoding(f"public key: {err}") from err
     return pk

@@ -71,13 +71,13 @@ class _ByteSource:
         mask = (1 << k) - 1
         out = []
         while len(out) < count:
-            buf = self.take_bytes((count - len(out)) * width)
-            # one conversion per pass, then a shift per value: the shifts grow
-            # with the square of the pass, but over the few dozen values a
-            # caller draws they cost less than a slice and a conversion each
-            whole = int.from_bytes(buf, "little")
-            draws = [whole >> i & mask for i in range(0, 8 * len(buf), 8 * width)]
-            out += [v for v in draws if v < n]
+            # one conversion per pass, walked by a mask-keep-shift loop, not a slice per value
+            whole = int.from_bytes(self.take_bytes((count - len(out)) * width), "little")
+            for _ in range(count - len(out)):
+                v = whole & mask
+                if v < n:
+                    out.append(v)
+                whole >>= 8 * width
         return out
 
 

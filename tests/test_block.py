@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppk import fhe
 from hppk.block import (
@@ -41,6 +43,30 @@ def test_build_plain_central_map_toy():
     assert build_plain_central_map(TOY_B, (10, 7), 13) == (
         (2, 11), (9, 2), (10, 12)
     )
+
+
+@st.composite
+def _convolution_inputs(draw):
+    p = draw(st.sampled_from([13, 251, 65521, (1 << 61) - 1, (1 << 64) - 59]))
+    base_degree, factor_degree = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    noise_vars = draw(st.integers(2, 5))
+    coeff = st.integers(0, p - 1)
+    row = st.lists(coeff, min_size=noise_vars, max_size=noise_vars)
+    base = draw(st.lists(row, min_size=base_degree + 1, max_size=base_degree + 1))
+    factor = draw(st.lists(coeff, min_size=factor_degree + 1, max_size=factor_degree + 1))
+    return base, factor, p
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_convolution_inputs())
+def test_build_plain_central_map_matches_a_per_product_reference(inputs):
+    base, factor, p = inputs
+    expected = [[0] * len(base[0]) for _ in range(len(base) + len(factor) - 1)]
+    for s, row in enumerate(base):
+        for t, f in enumerate(factor):
+            for j, c in enumerate(row):
+                expected[s + t][j] = (expected[s + t][j] + c * f) % p
+    assert build_plain_central_map(base, factor, p) == tuple(map(tuple, expected))
 
 
 def test_build_plain_central_map_identity_factor():
@@ -127,9 +153,10 @@ def test_stacked_evaluation_splits_at_the_proof_width(params):
     p, w = params.prime, params.value_bits
     top = _filled(params, (1 << params.ring_bits) - 1)
     table = [p - 1] * params.term_count
-    v1 = fhe.eval_cipher_poly([c for row in top for c in row], table)
+    flat = [c for row in top for c in row]
+    v1 = fhe.eval_cipher_poly(flat, table)
     assert v1 < 1 << w
-    v = fhe.eval_cipher_poly(fhe.stack(top, top, w), table)
+    v = fhe.eval_cipher_poly(fhe.stack(flat, flat, w), table)
     assert (v & ((1 << w) - 1), v >> w) == (v1, v1)
     # x = 1 and noise p - 1 make every monomial value p - 1
     ct = encrypt_block(PublicKey(top, top), params, 1, [p - 1] * params.noise_vars)

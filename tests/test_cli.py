@@ -235,6 +235,26 @@ def test_encaps_without_out_never_replaces_a_session(capsys, tmp_path, existing)
     assert kept.read_bytes() == b"old session"
 
 
+def test_encaps_derives_its_session_next_to_the_public_key(capsys, tmp_path):
+    (tmp_path / "keys").mkdir()
+    _run(capsys, "keygen", "--level", "1", "--seed", SEED, "--out", "keys/alice.v1")
+    code, out, _ = _run(capsys, "encaps", "--level", "1", "--pk", "keys/alice.v1.hpk")
+    assert code == 0
+    assert out.splitlines() == ["wrote keys/alice.v1.hct (208 bytes)",
+                                "wrote keys/alice.v1.hss (32 bytes)"]
+    # decaps derives the same secret's name beside the ciphertext, and the
+    # encapsulator's secret is already there
+    code, out, err = _run(capsys, "decaps", "--level", "1", "--sk", "keys/alice.v1.hsk",
+                          "--ct", "keys/alice.v1.hct")
+    assert (code, out) == (1, "")
+    assert err == ("hppk: keys/alice.v1.hss already exists; "
+                   "name another output with --out\n")
+    assert _run(capsys, "decaps", "--level", "1", "--sk", "keys/alice.v1.hsk",
+                "--ct", "keys/alice.v1.hct", "--out", "bob.hss")[0] == 0
+    assert (tmp_path / "bob.hss").read_bytes() == (tmp_path / "keys/alice.v1.hss").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bob.hss", "keys"]
+
+
 def test_named_outputs_may_be_replaced(capsys, tmp_path):
     # a name the user gives is theirs to reuse: --out and the KAT suite path
     for seed in ("11" * 32, "22" * 32):

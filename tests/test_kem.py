@@ -8,6 +8,7 @@ from hppk import fhe, kem
 from hppk import kat
 from hppk.block import (
     BlockCiphertext,
+    PublicKey,
     decrypt_block,
     encrypt_block,
     format_plaintext,
@@ -466,8 +467,8 @@ def test_keys_are_built_and_parsed_without_inverting(toy_params, inversions):
     assert inversions == []
     suite = kat.generate_suite(b"no-inverse", per_profile=1, profiles=("level1-nb1",))
     assert len(suite) == 2
-    # only the fixture record decrypts: the toy key's two units, then mod p
-    assert [m for _, m in inversions if m != toy_params.prime] == [6798, 6798]
+    # only the fixture record decrypts: the toy key's two units together, then mod p
+    assert [m for _, m in inversions if m != toy_params.prime] == [6798]
 
 
 def test_first_decaps_inverts_each_unit_once(inversions):
@@ -477,9 +478,10 @@ def test_first_decaps_inverts_each_unit_once(inversions):
     sk = kem.deserialize_sk(kem.serialize_sk(sk, params), params)
     ct, ss = kem.encaps(pk, params, rng)
     assert kem.decaps(sk, params, ct) == ss
-    assert sorted(c for c in inversions if c[1] == sk.modulus) == sorted(
-        [(sk.r1, sk.modulus), (sk.r2, sk.modulus)]
-    )
+    # one inversion, of r1*r2 mod S, serves both units
+    assert [c for c in inversions if c[1] == sk.modulus] == [
+        (sk.r1 * sk.r2 % sk.modulus, sk.modulus)
+    ]
     inversions.clear()
     ct, ss = kem.encaps(pk, params, rng)
     assert kem.decaps(sk, params, ct) == ss
@@ -613,12 +615,12 @@ def test_hand_built_ciphertext_needs_a_block():
         kem.KemCiphertext(())
 
 
-@pytest.mark.parametrize(
-    "params",
-    [*(PARAMETER_SETS[label] for label in sorted(EXPECTED_SIZES)), DEG2,
-     PARAMETER_SETS["toy"]],
-    ids=lambda params: params.label,
-)
+# the six production profiles, the benchmark's degree-2 profile and toy
+_WIRE_PROFILES = [*(PARAMETER_SETS[label] for label in sorted(EXPECTED_SIZES)), DEG2,
+                  PARAMETER_SETS["toy"]]
+
+
+@pytest.mark.parametrize("params", _WIRE_PROFILES, ids=lambda params: params.label)
 def test_parsed_blocks_equal_the_encapsulated_ones(params):
     rng = DeterministicStream(f"parsed-blocks/{params.label}".encode())
     _, pk = keygen(params, rng)
@@ -629,3 +631,50 @@ def test_parsed_blocks_equal_the_encapsulated_ones(params):
     for built, parsed in zip(ct.blocks, wire.blocks):
         assert type(built) is type(parsed) is BlockCiphertext
         assert parsed == built == BlockCiphertext(built.value1, built.value2)
+
+
+@pytest.mark.parametrize("params", _WIRE_PROFILES, ids=lambda params: params.label)
+def test_parsed_public_key_stacks_as_the_built_one(params):
+    # the parse stacks the flat wire entries; a key built from the same
+    # matrices flattens its maps itself
+    _, pk = keygen(params, DeterministicStream(f"parsed-pk/{params.label}".encode()))
+    built = PublicKey(pk.p1, pk.p2)
+    parsed = kem.deserialize_pk(kem.serialize_pk(pk, params), params)
+    assert parsed == built
+    assert parsed.stacked(params) == built.stacked(params) == pk.stacked(params)
+    assert len(parsed.stacked(params)) == params.term_count
+
+
+@pytest.mark.parametrize("params", _WIRE_PROFILES, ids=lambda params: params.label)
+def test_parsed_public_key_of_another_shape_is_malformed(params):
+    _, pk = keygen(params, DeterministicStream(f"foreign-pk/{params.label}".encode()))
+    wire = kem.serialize_pk(pk, params)
+    others = [o for o in _WIRE_PROFILES if o.public_key_bytes != params.public_key_bytes]
+    assert others
+    for other in others:
+        with pytest.raises(MalformedEncoding):
+            kem.deserialize_pk(wire, other)
+
+
+RING139 = ParameterSet(
+    prime=DEFAULT_PRIME_64, base_degree=1, factor_degree=1, noise_vars=3, ring_bits=139,
+)
+
+
+@pytest.mark.parametrize("params", [RING139, PARAMETER_SETS["toy"]],
+                         ids=["ring139", "toy"])
+@pytest.mark.parametrize("place", ["map1-first", "map2-last"])
+def test_parsed_public_key_entry_at_the_ring_width_is_malformed(params, place):
+    # both profiles' coefficient width holds 2**ring_bits, one past the widest entry
+    _, pk = keygen(params, DeterministicStream(f"wide-pk/{params.label}".encode()))
+    wire = kem.serialize_pk(pk, params)
+    w = params.coeff_bytes
+    at = 0 if place == "map1-first" else len(wire) - w
+    for entry, admitted in (((1 << params.ring_bits) - 1, True), (1 << params.ring_bits, False)):
+        blob = wire[:at] + entry.to_bytes(w, "little") + wire[at + w :]
+        if admitted:
+            parsed = kem.deserialize_pk(blob, params)
+            assert entry in (parsed.p1[0][0], parsed.p2[-1][-1])
+        else:
+            with pytest.raises(MalformedEncoding, match="outside"):
+                kem.deserialize_pk(blob, params)
