@@ -94,7 +94,7 @@ def encrypt_value(key, value):
 def encrypt_coeffs(key, rows):
     """Encrypt every coefficient of a matrix, keeping its shape."""
     r, s = key.mult, key.modulus
-    return tuple(tuple(r * c % s for c in row) for row in rows)
+    return tuple([tuple([r * c % s for c in row]) for row in rows])
 
 
 def eval_cipher_poly(coeffs, values):

@@ -1,9 +1,10 @@
 """Known-answer test suites.
 
-A suite is a line-oriented text file of `field = hex` records separated
-by blank lines, NIST response-file style.  Header comments carry the
-deterministic generator identity; replaying a record's seed through that
-generator must reproduce its pk, sk, ct, and ss bytes exactly.
+A suite is a line-oriented text file of `field = value` records
+separated by blank lines, NIST response-file style; `_FIELDS` states the
+record layout.  Header comments carry the deterministic generator
+identity; replaying a record's seed through that generator must
+reproduce its pk, sk, ct, and ss bytes exactly.
 
 Two record modes exist: "seeded" records replay key generation and
 encapsulation from a 32-byte seed; the single "fixture" record carries
@@ -12,7 +13,7 @@ private values no stream would reproduce, and is verified by rebuilding
 it from the constants below.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import kem
 from .block import encrypt_block, keygen, keypair_from_values
@@ -45,6 +46,24 @@ class KatRecord:
     ss: bytes
 
 
+# The suite format, stated once: each field's (parse, format) in record
+# order; `count` is decimal, bytes are hex, and only seeded records carry
+# a seed line.
+_FIELDS = {
+    f.name: {str: (str, str), int: (int, str), bytes: (bytes.fromhex, bytes.hex)}[f.type]
+    for f in fields(KatRecord)
+}
+
+
+def _record(profile, count, mode, seed, sk, pk, ct, ss):
+    """A record of a key pair and ciphertext, in their wire bytes."""
+    params = PARAMETER_SETS[profile]
+    return KatRecord(
+        profile, count, mode, seed, kem.serialize_pk(pk, params),
+        kem.serialize_sk(sk, params), kem.serialize_ct(ct, params), ss,
+    )
+
+
 def toy_instance():
     """(sk, pk, block) of the toy vector under the "toy" profile, built anew."""
     params = PARAMETER_SETS["toy"]
@@ -56,19 +75,10 @@ def toy_instance():
 
 def toy_vector():
     """The fixture record, rebuilt from first principles on every call."""
-    params = PARAMETER_SETS["toy"]
     sk, pk, block = toy_instance()
     ct = kem.KemCiphertext((block,))
-    return KatRecord(
-        profile="toy",
-        count=0,
-        mode="fixture",
-        seed=b"",
-        pk=kem.serialize_pk(pk, params),
-        sk=kem.serialize_sk(sk, params),
-        ct=kem.serialize_ct(ct, params),
-        ss=kem.decaps(sk, params, ct),
-    )
+    ss = kem.decaps(sk, PARAMETER_SETS["toy"], ct)
+    return _record("toy", 0, "fixture", b"", sk, pk, ct, ss)
 
 
 def record_from_seed(profile, count, seed):
@@ -76,79 +86,50 @@ def record_from_seed(profile, count, seed):
     params = PARAMETER_SETS[profile]
     rng = DeterministicStream(seed)
     sk, pk = keygen(params, rng)
-    ct, ss = kem.encaps(pk, params, rng)
-    return KatRecord(
-        profile=profile,
-        count=count,
-        mode="seeded",
-        seed=seed,
-        pk=kem.serialize_pk(pk, params),
-        sk=kem.serialize_sk(sk, params),
-        ct=kem.serialize_ct(ct, params),
-        ss=ss,
-    )
+    return _record(profile, count, "seeded", seed, sk, pk, *kem.encaps(pk, params, rng))
 
 
-def generate_suite(master_seed, per_profile=3, profiles=PRODUCTION_LABELS):
-    """Seeded records for each profile (seeds drawn off a master stream),
-    plus the toy fixture record at the end."""
+def generate_suite(master_seed, per_profile):
+    """`per_profile` seeded records for each production profile (seeds
+    drawn off a master stream), plus the toy fixture record at the end."""
     master = DeterministicStream(master_seed)
-    records = []
-    for profile in profiles:
-        for count in range(per_profile):
-            records.append(record_from_seed(profile, count, master.take_bytes(SEED_BYTES)))
-    records.append(toy_vector())
-    return records
+    return [
+        record_from_seed(profile, count, master.take_bytes(SEED_BYTES))
+        for profile in PRODUCTION_LABELS
+        for count in range(per_profile)
+    ] + [toy_vector()]
 
 
 def write_suite(records, fh):
     fh.write("# hppk known-answer tests\n")
     fh.write(f"# generator = {GENERATOR_ID}\n\n")
     for rec in records:
-        fh.write(f"profile = {rec.profile}\n")
-        fh.write(f"count = {rec.count}\n")
-        fh.write(f"mode = {rec.mode}\n")
-        if rec.mode == "seeded":
-            fh.write(f"seed = {rec.seed.hex()}\n")
-        fh.write(f"pk = {rec.pk.hex()}\n")
-        fh.write(f"sk = {rec.sk.hex()}\n")
-        fh.write(f"ct = {rec.ct.hex()}\n")
-        fh.write(f"ss = {rec.ss.hex()}\n")
+        for name, (_, form) in _FIELDS.items():
+            if name != "seed" or rec.mode == "seeded":
+                fh.write(f"{name} = {form(getattr(rec, name))}\n")
         fh.write("\n")
 
 
-_FIELD_NAMES = frozenset(KatRecord.__annotations__)
-
-
 def parse_suite(fh):
-    """The records of a suite; a field outside KatRecord's, one given
-    twice within a record, or a seed on a fixture record, which nothing
-    would check, is malformed.
+    """The records of a suite; a missing or undecodable field, one outside
+    the format, one given twice within a record, or a seed on a fixture
+    record, which nothing would check, is malformed.  A seeded record
+    without a seed line reads as seed b"".
     """
     records = []
-    fields = {}
+    values = {}
 
     def flush():
-        if not fields:
+        if not values:
             return
-        if fields.get("mode") == "fixture" and "seed" in fields:
+        if values.get("mode") == "fixture" and "seed" in values:
             raise MalformedEncoding("a fixture record carries no seed")
-        try:
-            records.append(
-                KatRecord(
-                    profile=fields["profile"],
-                    count=int(fields["count"]),
-                    mode=fields["mode"],
-                    seed=bytes.fromhex(fields.get("seed", "")),
-                    pk=bytes.fromhex(fields["pk"]),
-                    sk=bytes.fromhex(fields["sk"]),
-                    ct=bytes.fromhex(fields["ct"]),
-                    ss=bytes.fromhex(fields["ss"]),
-                )
-            )
-        except (KeyError, ValueError) as err:
-            raise MalformedEncoding(f"bad KAT record: {err}") from err
-        fields.clear()
+        values.setdefault("seed", b"")
+        missing = _FIELDS.keys() - values.keys()
+        if missing:
+            raise MalformedEncoding(f"KAT record lacks {sorted(missing)}")
+        records.append(KatRecord(**values))
+        values.clear()
 
     try:
         for line in fh:
@@ -158,16 +139,19 @@ def parse_suite(fh):
                 continue
             if line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq:
                 raise MalformedEncoding(f"unparseable KAT line: {line!r}")
-            key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_NAMES:
+            if key not in _FIELDS:
                 raise MalformedEncoding(f"unknown KAT field {key!r}")
-            if key in fields:
+            if key in values:
                 # a second value must not silently replace the first
                 raise MalformedEncoding(f"KAT field {key!r} repeated within a record")
-            fields[key] = value.strip()
+            try:
+                values[key] = _FIELDS[key][0](value.strip())
+            except ValueError as err:
+                raise MalformedEncoding(f"bad KAT field {key!r}: {err}") from err
     except UnicodeDecodeError as err:
         raise MalformedEncoding(f"KAT suite is not valid text: {err}") from err
     flush()
@@ -186,7 +170,7 @@ def verify_record(rec):
         expected = record_from_seed(rec.profile, rec.count, rec.seed)
     else:
         return False, "mode"
-    for name in ("profile", "count", "pk", "sk", "ct", "ss"):
+    for name in _FIELDS:
         if getattr(rec, name) != getattr(expected, name):
             return False, name
     return True, None

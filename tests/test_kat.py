@@ -3,11 +3,24 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hppk import cli, kat, kem
 from hppk.block import keygen
-from hppk.params import DEFAULT_PRIME_64, ParameterSet
+from hppk.errors import MalformedEncoding
+from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
+
+
+def _suite_lines(records):
+    buf = io.StringIO()
+    kat.write_suite(records, buf)
+    return buf.getvalue().splitlines()
+
+
+def _parse_lines(lines):
+    return kat.parse_suite(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_toy_vector_bytes(toy_params):
@@ -40,8 +53,7 @@ def test_generated_suite_verifies_clean():
 
 
 def test_write_parse_roundtrip():
-    records = kat.generate_suite(b"roundtrip", per_profile=1,
-                                 profiles=("level1-nb1",))
+    records = kat.generate_suite(b"roundtrip", per_profile=1)
     buf = io.StringIO()
     kat.write_suite(records, buf)
     buf.seek(0)
@@ -50,19 +62,13 @@ def test_write_parse_roundtrip():
 
 
 def test_flipped_hex_digit_fails_that_record_only():
-    records = kat.generate_suite(b"flip", per_profile=1,
-                                 profiles=("level1-nb1", "level3-nb1"))
-    buf = io.StringIO()
-    kat.write_suite(records, buf)
-    text = buf.getvalue()
+    lines = _suite_lines(kat.generate_suite(b"flip", per_profile=1))
     # flip one hex digit inside the first record's ct line
-    lines = text.splitlines()
     idx = next(i for i, ln in enumerate(lines) if ln.startswith("ct = "))
     digit = lines[idx][5]
     lines[idx] = "ct = " + ("0" if digit != "0" else "1") + lines[idx][6:]
-    parsed = kat.parse_suite(io.StringIO("\n".join(lines) + "\n"))
-    results = kat.verify_suite(parsed)
-    assert [ok for _, ok, _ in results] == [False, True, True]
+    results = kat.verify_suite(_parse_lines(lines))
+    assert [ok for _, ok, _ in results] == [False] + [True] * 6
     assert results[0][2] == "ct"
 
 
@@ -94,6 +100,44 @@ def test_seeded_record_survives_suite_io():
     (back,) = kat.parse_suite(buf)
     ok, field = kat.verify_record(back)
     assert ok, field
+
+
+@pytest.mark.parametrize("name", ["profile", "count", "mode", "pk", "sk", "ct", "ss"])
+def test_record_without_a_field_is_malformed(name):
+    lines = _suite_lines([kat.record_from_seed("level1-nb1", 0, bytes(32))])
+    kept = [ln for ln in lines if not ln.startswith(f"{name} = ")]
+    assert len(kept) == len(lines) - 1
+    with pytest.raises(MalformedEncoding):
+        _parse_lines(kept)
+
+
+def test_seeded_record_without_a_seed_fails_on_its_seed():
+    lines = _suite_lines([kat.record_from_seed("level1-nb1", 0, bytes(32))])
+    (rec,) = _parse_lines([ln for ln in lines if not ln.startswith("seed = ")])
+    assert rec.seed == b""
+    assert kat.verify_record(rec) == (False, "seed")
+
+
+@st.composite
+def _records(draw):
+    """Records of either mode as the suite format allows them, values unchecked."""
+    mode = draw(st.sampled_from(["seeded", "fixture"]))
+    return kat.KatRecord(
+        profile=draw(st.sampled_from(sorted(PARAMETER_SETS))),
+        count=draw(st.integers(0, 2**63)),
+        mode=mode,
+        seed=draw(st.binary(max_size=40)) if mode == "seeded" else b"",
+        **{name: draw(st.binary(max_size=48)) for name in ("pk", "sk", "ct", "ss")},
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(_records(), max_size=4))
+def test_parse_inverts_write(records):
+    buf = io.StringIO()
+    kat.write_suite(records, buf)
+    buf.seek(0)
+    assert kat.parse_suite(buf) == records
 
 
 # SHA-256 digests of wire output, pinned so that any change to the draw
