@@ -48,7 +48,7 @@ def _make_callable(operation, params, rng):
     raise ValueError(f"unknown operation {operation!r}")
 
 
-def run_bench(operation, profiles, rng, iterations=2000):
+def run_bench(operation, profiles, rng, iterations):
     """Time one operation under each profile, calls interleaved across them.
 
     Returns one BenchReport per profile, in order; raises ValueError

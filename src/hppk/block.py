@@ -20,6 +20,10 @@ quadratic (factor_degree 2) congruence in x that is solved without first
 forming the ratio c1/c2.  Degree-2 profiles embed an 8-bit CRC flag in
 the plaintext so the right root can be identified.
 
+Both directions take a whole ciphertext at once.  encrypt_blocks looks
+up the stacked key, value_bits and the low mask once per ciphertext and
+evaluates each block's table against them; encrypt_block is its
+one-block case, behind the entry checks of a caller's secret and noise.
 decrypt_blocks decrypts all blocks of one ciphertext together, for both
 factor degrees: one modular inversion mod p serves every block's
 divisor, each degree-2 block takes one square root, and the earliest
@@ -29,7 +33,7 @@ A key's checks against a profile live in private_key and PublicKey.stacked.
 
 A ciphertext value is checked once, where it enters.  A parsed value
 meets kem.deserialize_ct's width rule: below 2**value_bits <= 2**256,
-and never negative.  A value encrypt_block computes needs no check:
+and never negative.  A value encrypt_blocks computes needs no check:
 PublicKey.stacked admits only entries in [0, 2**ring_bits), and the
 ring-size bound then keeps each map's evaluation below 2**value_bits.
 So both build their BlockCiphertext through _make, and only a block
@@ -142,7 +146,7 @@ class BlockCiphertext(_BlockValues):
     """Two unreduced integer evaluations of the cipher maps, as a value tuple.
 
     The constructor holds a hand-built block to the 256-bit capacity
-    contract (TypeError or CapacityExceeded).  encrypt_block and
+    contract (TypeError or CapacityExceeded).  encrypt_blocks and
     kem.deserialize_ct build through _make, which checks nothing: their
     values are bounded where they enter (see the module docstring).
     """
@@ -335,22 +339,49 @@ def keygen(params, rng):
 def monomial_table(params, x, noise):
     """Values (x**i * noise_j) mod p, row-major over the (message_degree+1)
     x noise_vars positions of a coefficient matrix: the flat layout that
-    fhe.eval_cipher_poly reads and PublicKey.stacked caches."""
+    fhe.eval_cipher_poly reads and PublicKey.stacked caches.
+
+    x and every noise value must already lie in [0, p), so the first row
+    is the noise itself: encrypt_block checks them, and kem.encaps draws
+    them below p.
+    """
     p = params.prime
-    table = [r % p for r in noise]
+    table = [*noise]
     # the entry one row down, noise_vars places on, is this one times x
     for i in range(params.message_degree * len(table)):
         table.append(table[i] * x % p)
     return table
 
 
+def encrypt_blocks(pk, params, draws):
+    """Every block of one ciphertext, one per (x, noise) draw, as a tuple.
+
+    The stacked key, value_bits and the low mask are looked up once per
+    ciphertext; each block is one evaluation of the stacked key against
+    its monomial table, split into value1 (the low value_bits bits) and
+    value2 (the rest).  The draws are not checked: each x and noise value
+    must lie in [0, p), with one noise value per noise variable, not all
+    zero (encrypt_block checks one block; kem.encaps draws them so).  The
+    blocks are built unchecked: the stacked key's entry check and the
+    ring-size bound already keep both values in [0, 2**value_bits).
+    """
+    stacked = pk.stacked(params)
+    w = params.value_bits
+    low = (1 << w) - 1
+    blocks = []
+    for x, noise in draws:
+        v = fhe.eval_cipher_poly(stacked, monomial_table(params, x, noise))
+        blocks.append(BlockCiphertext._make((v & low, v >> w)))
+    return tuple(blocks)
+
+
 def encrypt_block(pk, params, x, noise):
     """Evaluate both cipher maps over the integers; no final reduction.
 
-    One evaluation of the stacked key pk.stacked(params) against the
-    monomial table gives value1 + (value2 << value_bits).  The block is
-    built unchecked: the stacked key's entry check and the ring-size
-    bound already keep both values in [0, 2**value_bits).
+    The entry checks of one block's secret and noise, then its one-block
+    case of encrypt_blocks.  Raises ValueError for a secret or noise
+    value outside [0, p) or a noise vector of the wrong length, and
+    AllZeroNoise for an all-zero one.
     """
     p = params.prime
     if not 0 <= x < p:
@@ -361,9 +392,7 @@ def encrypt_block(pk, params, x, noise):
         raise ValueError("noise values must lie in [0, p)")
     if not any(noise):
         raise AllZeroNoise("all-zero noise would produce a trivial ciphertext")
-    w = params.value_bits
-    v = fhe.eval_cipher_poly(pk.stacked(params), monomial_table(params, x, noise))
-    return BlockCiphertext._make((v & ((1 << w) - 1), v >> w))
+    return encrypt_blocks(pk, params, ((x, noise),))[0]
 
 
 def _flagged_root(coeffs, inv, params):

@@ -16,7 +16,7 @@ it from the constants below.
 from dataclasses import dataclass, fields
 
 from . import kem
-from .block import encrypt_block, keygen, keypair_from_values
+from .block import decrypt_block, encrypt_block, keygen, keypair_from_values
 from .errors import MalformedEncoding
 from .params import PARAMETER_SETS, PRODUCTION_LABELS
 from .rng import GENERATOR_ID, DeterministicStream
@@ -56,11 +56,11 @@ _FIELDS = {
 
 
 def _record(profile, count, mode, seed, sk, pk, ct, ss):
-    """A record of a key pair and ciphertext, in their wire bytes."""
+    """A record of a key pair, in its wire bytes, and ciphertext bytes."""
     params = PARAMETER_SETS[profile]
     return KatRecord(
         profile, count, mode, seed, kem.serialize_pk(pk, params),
-        kem.serialize_sk(sk, params), kem.serialize_ct(ct, params), ss,
+        kem.serialize_sk(sk, params), ct, ss,
     )
 
 
@@ -74,10 +74,17 @@ def toy_instance():
 
 
 def toy_vector():
-    """The fixture record, rebuilt from first principles on every call."""
+    """The fixture record, rebuilt from first principles on every call.
+
+    Its ct is the one toy block, not a KEM ciphertext of the profile's
+    block_count blocks: both values at value_bytes, little-endian, as a
+    ciphertext's wire lays out each block.  Its ss is that block's payload
+    in one byte.
+    """
+    params = PARAMETER_SETS["toy"]
     sk, pk, block = toy_instance()
-    ct = kem.KemCiphertext((block,))
-    ss = kem.decaps(sk, PARAMETER_SETS["toy"], ct)
+    ct = b"".join([v.to_bytes(params.value_bytes, "little") for v in block])
+    ss = decrypt_block(sk, params, block).to_bytes((params.payload_bits + 7) // 8, "little")
     return _record("toy", 0, "fixture", b"", sk, pk, ct, ss)
 
 
@@ -86,7 +93,8 @@ def record_from_seed(profile, count, seed):
     params = PARAMETER_SETS[profile]
     rng = DeterministicStream(seed)
     sk, pk = keygen(params, rng)
-    return _record(profile, count, "seeded", seed, sk, pk, *kem.encaps(pk, params, rng))
+    ct, ss = kem.encaps(pk, params, rng)
+    return _record(profile, count, "seeded", seed, sk, pk, kem.serialize_ct(ct, params), ss)
 
 
 def generate_suite(master_seed, per_profile):

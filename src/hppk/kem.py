@@ -6,10 +6,18 @@ payload_bits each; block k contributes bits [k*payload_bits,
 bits.  The secret is the raw concatenation of the block payloads; no KDF
 is applied.
 
-Decapsulation hands the whole ciphertext to block.decrypt_blocks: one
-modular inversion mod p for all of its blocks, for either factor
-degree, one square root per degree-2 block, and a DecapsFailure naming
-the earliest failing block and its cause.
+Encapsulation draws a whole ciphertext, then hands its draws to
+block.encrypt_blocks, which looks up the stacked key once for all of its
+blocks.  A factor-degree-1 ciphertext takes one below_many for every
+block's secret and noise, topped up only by zero-noise redraws, and
+reads the values and bytes of drawing block by block (see encaps, whose
+draw order is the wire contract).  Decapsulation hands the whole
+ciphertext to block.decrypt_blocks: one modular inversion mod p for all
+of its blocks, for either factor degree, one square root per degree-2
+block, and a DecapsFailure naming the earliest failing block and its
+cause.  decaps and serialize_ct take only a ciphertext of the profile's
+block_count blocks (ValueError otherwise), the one count deserialize_ct
+parses.
 
 All integers travel little-endian at fixed widths derived from the
 parameter set: ring coefficients in coeff_bytes, unreduced ciphertext
@@ -19,7 +27,7 @@ carry no parameter header; the parameter set travels out of band.
 The key parsers only split bytes: block.private_key and PublicKey.stacked
 check the keys, and their rejections are re-raised as MalformedEncoding.
 A ciphertext's values are checked once, by deserialize_ct's width rule;
-encaps needs no check, as block.encrypt_block's values are bounded by
+encaps needs no check, as block.encrypt_blocks' values are bounded by
 the stacked key's entry check and the ring-size bound (see block).
 Ciphertexts are value tuples, and both build theirs unchecked through
 _make; only the public constructors check what a caller builds by hand.
@@ -35,7 +43,7 @@ from .block import (
     BlockCiphertext,
     PublicKey,
     decrypt_blocks,
-    encrypt_block,
+    encrypt_blocks,
     format_plaintext,
     private_key,
 )
@@ -55,6 +63,7 @@ class KemCiphertext(_KemBlocks):
 
     The constructor rejects an empty ciphertext (ValueError); encaps and
     deserialize_ct build through _make, as their block_count is at least 1.
+    decaps and serialize_ct reject any other count than the profile's.
     """
 
     __slots__ = ()
@@ -65,29 +74,48 @@ class KemCiphertext(_KemBlocks):
         return super().__new__(cls, blocks)
 
 
-def _sample_block(params, rng):
-    """(encrypted value, noise vector, carried payload) for one block.
+def _draw_linear_blocks(params, rng):
+    """(x, noise) per block for factor_degree 1, from one draw per ciphertext.
 
-    A degree-1 block draws its value and noise in one vector; a degree-2
-    block draws a payload until it formats, then its noise.  The noise
-    vector is redrawn whole while it is all zero.
+    One below_many gives every block's secret and noise, read in order:
+    x, then one noise value per noise variable.  An all-zero noise vector
+    takes the next noise_vars values instead, and each such redraw
+    extends the draw by noise_vars values at its end, so the whole
+    ciphertext reads exactly the values, and the bytes, of drawing each
+    block and each redraw separately.
     """
     p, m = params.prime, params.noise_vars
-    if params.factor_degree == 1:
-        x, *noise = rng.below_many(p, 1 + m)
-        payload = x
-    else:
-        while True:
-            payload = rng.bits(params.payload_bits)
-            try:
-                x = format_plaintext(payload, params)
-                break
-            except PayloadTooLarge:
-                continue
-        noise = rng.below_many(p, m)
+    values = rng.below_many(p, params.block_count * (1 + m))
+    draws, at = [], 0
+    for _ in range(params.block_count):
+        x, noise = values[at], values[at + 1 : at + 1 + m]
+        at += 1 + m
+        while not any(noise):
+            values += rng.below_many(p, m)
+            noise = values[at : at + m]
+            at += m
+        draws.append((x, noise))
+    return draws
+
+
+def _sample_block(params, rng):
+    """((x, noise), payload) for one factor_degree 2 block.
+
+    A payload is drawn until it formats, then the noise, which is redrawn
+    whole while it is all zero.
+    """
+    p, m = params.prime, params.noise_vars
+    while True:
+        payload = rng.bits(params.payload_bits)
+        try:
+            x = format_plaintext(payload, params)
+            break
+        except PayloadTooLarge:
+            continue
+    noise = rng.below_many(p, m)
     while not any(noise):
         noise = rng.below_many(p, m)
-    return x, noise, payload
+    return (x, noise), payload
 
 
 def _pack_payloads(payloads, params):
@@ -103,19 +131,31 @@ def _pack_payloads(payloads, params):
 def encaps(pk, params, rng):
     """Encapsulate a fresh 32-byte shared secret under pk.
 
-    Per block, in draw order (see _sample_block): for factor_degree 1 the
-    block secret, then one noise value per noise variable; for
-    factor_degree 2 a payload, redrawn until it formats, then the noise.
-    The whole noise vector is redrawn while it is all zero.  Returns
+    The draw order is the wire contract.  For factor_degree 1, one
+    below_many(p, block_count * (1 + noise_vars)) gives each block's
+    secret, then its noise values, block by block; an all-zero noise
+    vector takes the next noise_vars values, and one further below_many
+    per redraw tops the draw up (see _draw_linear_blocks).  For
+    factor_degree 2, each block draws a payload, redrawn until it
+    formats, then its noise, redrawn whole while it is all zero.  Either
+    way the values and bytes are those of drawing block by block.
+    block.encrypt_blocks then encrypts the whole ciphertext.  Returns
     (KemCiphertext, shared secret bytes).
     """
-    blocks = []
-    payloads = []
-    for _ in range(params.block_count):
-        x, noise, payload = _sample_block(params, rng)
-        blocks.append(encrypt_block(pk, params, x, noise))
-        payloads.append(payload)
-    return KemCiphertext._make((tuple(blocks),)), _pack_payloads(payloads, params)
+    if params.factor_degree == 1:
+        draws = _draw_linear_blocks(params, rng)
+        payloads = [x for x, _ in draws]
+    else:
+        draws, payloads = zip(*[_sample_block(params, rng) for _ in range(params.block_count)])
+    blocks = encrypt_blocks(pk, params, draws)
+    return KemCiphertext._make((blocks,)), _pack_payloads(payloads, params)
+
+
+def _check_block_count(ct, params):
+    if len(ct.blocks) != params.block_count:
+        raise ValueError(
+            f"ciphertext has {len(ct.blocks)} blocks, the profile {params.block_count}"
+        )
 
 
 def decaps(sk, params, ct):
@@ -124,8 +164,10 @@ def decaps(sk, params, ct):
     block.decrypt_blocks takes the whole ciphertext: one modular
     inversion for all of its blocks, whatever the factor degree, and one
     square root per degree-2 block.  The earliest failing block is
-    reported, with its index and cause.
+    reported, with its index and cause.  Raises ValueError for a
+    ciphertext whose block count is not the profile's.
     """
+    _check_block_count(ct, params)
     return _pack_payloads(decrypt_blocks(sk, params, ct.blocks), params)
 
 
@@ -185,7 +227,12 @@ def deserialize_sk(data, params):
 
 
 def serialize_ct(ct, params):
-    """Blocks in order, (value1, value2) per block, value_bytes each."""
+    """Blocks in order, (value1, value2) per block, value_bytes each.
+
+    Raises ValueError for a ciphertext whose block count is not the
+    profile's, which deserialize_ct would reject.
+    """
+    _check_block_count(ct, params)
     return _pack((chain.from_iterable(ct.blocks), params.value_bytes))
 
 

@@ -10,7 +10,7 @@ capacity contract is checked once, where a value enters, instead of on
 every operation: :func:`ensure_wide` on a value built by hand (a ring
 modulus, a hand-built ciphertext block), and kem.deserialize_ct's
 stricter width rule (below 2**value_bits) on a parsed ciphertext.  A
-ciphertext that block.encrypt_block computes is not checked again: the
+ciphertext that block.encrypt_blocks computes is not checked again: the
 stacked public key's entries lie in [0, 2**ring_bits), and the
 ring-size precondition then keeps every value and intermediate in range.
 

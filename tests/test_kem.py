@@ -11,6 +11,7 @@ from hppk.block import (
     PublicKey,
     decrypt_block,
     encrypt_block,
+    encrypt_blocks,
     format_plaintext,
     keygen,
     keypair_from_values,
@@ -23,6 +24,7 @@ from hppk.errors import (
     MalformedEncoding,
     NotCoprime,
     NoValidRoot,
+    PayloadTooLarge,
     ZeroDenominator,
 )
 from hppk.modmath import WIDE_BITS, ensure_wide, mod_inverse
@@ -80,17 +82,44 @@ def test_distinct_ciphertexts_and_secrets():
     assert len(seen_ss) == 1000
 
 
+# the toy vector's block, which decrypts to x = 8
+TOY_GOOD = BlockCiphertext(198082, 192229)
+
+
+def _toy_ciphertext(params, *blocks):
+    """A whole toy ciphertext: these blocks, then TOY_GOOD up to block_count."""
+    return kem.KemCiphertext(blocks + (TOY_GOOD,) * (params.block_count - len(blocks)))
+
+
 def test_toy_single_block_decaps(toy_params, toy_keypair):
+    # the one toy block, in each of the profile's 64 four-bit places
     sk, _ = toy_keypair
-    ct = kem.KemCiphertext((BlockCiphertext(198082, 192229),))
-    assert kem.decaps(sk, toy_params, ct) == b"\x08"
+    assert toy_params.block_count == 64
+    assert kem.decaps(sk, toy_params, _toy_ciphertext(toy_params)) == b"\x88" * 32
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_ciphertext_of_another_block_count_is_rejected(count):
+    # level1-nb1 takes 4 blocks: 2 of them decapsulated to a 16-byte secret,
+    # 5 decrypted the fifth and dropped it, and serialize_ct wrote a wire
+    # that deserialize_ct rejects
+    params = PARAMETER_SETS["level1-nb1"]
+    rng = DeterministicStream(b"block-count")
+    sk, pk = keygen(params, rng)
+    ct, _ = kem.encaps(pk, params, rng)
+    assert len(ct.blocks) == params.block_count == 4
+    wrong = kem.KemCiphertext((ct.blocks * 2)[:count])
+    with pytest.raises(ValueError, match="blocks"):
+        kem.decaps(sk, params, wrong)
+    with pytest.raises(ValueError, match="blocks"):
+        kem.serialize_ct(wrong, params)
 
 
 def test_decaps_failure_carries_block_index(toy_params, toy_keypair):
     sk, pk = toy_keypair
-    good = BlockCiphertext(198082, 192229)
+    good = TOY_GOOD
     bad = BlockCiphertext(198082, 0)
-    ct = kem.KemCiphertext((good, good, bad))
+    ct = _toy_ciphertext(toy_params, good, good, bad)
     with pytest.raises(DecapsFailure) as err:
         kem.decaps(sk, toy_params, ct)
     assert err.value.block_index == 2
@@ -116,9 +145,9 @@ def _toy_failures(sk):
 @pytest.mark.parametrize("cause", [ZeroDenominator, DegenerateEquation])
 def test_decaps_failure_in_middle_block(toy_params, toy_keypair, cause):
     sk, _ = toy_keypair
-    good = BlockCiphertext(198082, 192229)
+    good = TOY_GOOD
     bad = _toy_failures(sk)[cause]
-    ct = kem.KemCiphertext((good, good, bad, good, good))
+    ct = _toy_ciphertext(toy_params, good, good, bad, good, good)
     with pytest.raises(DecapsFailure) as err:
         kem.decaps(sk, toy_params, ct)
     assert err.value.block_index == 2
@@ -128,10 +157,10 @@ def test_decaps_failure_in_middle_block(toy_params, toy_keypair, cause):
 @pytest.mark.parametrize("first", [ZeroDenominator, DegenerateEquation])
 def test_decaps_reports_earliest_failure(toy_params, toy_keypair, first):
     sk, _ = toy_keypair
-    good = BlockCiphertext(198082, 192229)
+    good = TOY_GOOD
     bad = _toy_failures(sk)
     second = DegenerateEquation if first is ZeroDenominator else ZeroDenominator
-    ct = kem.KemCiphertext((good, bad[first], good, bad[second]))
+    ct = _toy_ciphertext(toy_params, good, bad[first], good, bad[second])
     with pytest.raises(DecapsFailure) as err:
         kem.decaps(sk, toy_params, ct)
     assert err.value.block_index == 1
@@ -142,7 +171,7 @@ def test_decaps_matches_per_block_decryption(toy_params, toy_keypair):
     sk, pk = toy_keypair
     rng = DeterministicStream(b"toy-batch")
     blocks = []
-    while len(blocks) < 8:
+    while len(blocks) < toy_params.block_count:
         noise = [rng.below(12) + 1, rng.below(13)]
         blk = encrypt_block(pk, toy_params, rng.below(13), noise)
         try:
@@ -151,7 +180,7 @@ def test_decaps_matches_per_block_decryption(toy_params, toy_keypair):
             continue
     ct = kem.KemCiphertext(tuple(b for b, _ in blocks))
     expected = sum(x << (4 * k) for k, (_, x) in enumerate(blocks))
-    assert kem.decaps(sk, toy_params, ct) == expected.to_bytes(4, "little")
+    assert kem.decaps(sk, toy_params, ct) == expected.to_bytes(32, "little")
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_SIZES))
@@ -678,3 +707,61 @@ def test_parsed_public_key_entry_at_the_ring_width_is_malformed(params, place):
         else:
             with pytest.raises(MalformedEncoding, match="outside"):
                 kem.deserialize_pk(blob, params)
+
+
+# -- encapsulation draws one ciphertext at once, in the per-block order
+
+
+def _per_block_encaps(pk, params, rng):
+    """encaps drawn block by block: below_many(p, 1 + m) per degree-1 block,
+    or a payload until it formats and then below_many(p, m) for degree 2,
+    m more while the noise is all zero, then encrypt_block.  Returns the
+    ciphertext, the secret, the draws and the redraws before the last block.
+    """
+    p, m = params.prime, params.noise_vars
+    blocks, payloads, draws, inner_redraws = [], [], [], 0
+    for k in range(params.block_count):
+        if params.factor_degree == 1:
+            x, *noise = rng.below_many(p, 1 + m)
+            payload = x
+        else:
+            while True:
+                payload = rng.bits(params.payload_bits)
+                try:
+                    x = format_plaintext(payload, params)
+                    break
+                except PayloadTooLarge:
+                    pass
+            noise = rng.below_many(p, m)
+        while not any(noise):
+            noise = rng.below_many(p, m)
+            inner_redraws += k < params.block_count - 1
+        draws.append((x, noise))
+        blocks.append(encrypt_block(pk, params, x, noise))
+        payloads.append(payload)
+    ss = kem._pack_payloads(payloads, params)
+    return kem.KemCiphertext(tuple(blocks)), ss, draws, inner_redraws
+
+
+TOY_NB2 = ParameterSet(prime=13, base_degree=2, factor_degree=1, noise_vars=2,
+                       label="toy-nb2")
+_DRAW_PROFILES = {"toy": 50, "level1-nb1": 20, "level5-nb2": 20, "deg2": 20, "toy-nb2": 50}
+
+
+@pytest.mark.parametrize("label", list(_DRAW_PROFILES))
+def test_encaps_draws_as_block_by_block(label):
+    params = {"deg2": DEG2, "toy-nb2": TOY_NB2}.get(label) or PARAMETER_SETS[label]
+    _, pk = keygen(params, DeterministicStream(f"draw-order/{label}".encode()))
+    ours = DeterministicStream(f"draw-order/{label}/encaps".encode())
+    theirs = DeterministicStream(f"draw-order/{label}/encaps".encode())
+    inner_redraws = 0
+    for _ in range(_DRAW_PROFILES[label]):
+        ct, ss, draws, redraws = _per_block_encaps(pk, params, theirs)
+        assert kem.encaps(pk, params, ours) == (ct, ss)
+        assert encrypt_blocks(pk, params, draws) == ct.blocks
+        inner_redraws += redraws
+    # both streams stand at the same byte
+    assert ours.take_bytes(16) == theirs.take_bytes(16)
+    if label == "toy":
+        # one noise vector in 169 is zero: about 19 over these 3200 blocks
+        assert inner_redraws >= 1
