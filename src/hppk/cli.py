@@ -1,7 +1,9 @@
 """Command-line front end: key lifecycle, KATs, benchmarks, attack oracles.
 
 Exit codes are a stable contract for CI: 0 success, 1 usage error,
-2 malformed input, 3 cryptographic failure.
+2 malformed input, 3 cryptographic failure.  Each command parses its own
+arguments, so an option it does not take is reported under its name
+(`hppk keygen: error: unrecognized arguments: ...`).
 """
 
 import argparse
@@ -167,7 +169,7 @@ def _cmd_kat(args):
         _write(Path(args.suite), text.getvalue().encode())
         print(f"wrote {len(records)} records to {args.suite}")
         return EXIT_OK
-    with open(args.suite) as fh:
+    with open(args.suite, encoding="utf-8") as fh:
         records = kat.parse_suite(fh)
     if not records:
         # a truncated or emptied suite must not pass as verified
@@ -303,47 +305,50 @@ def _cmd_attack(args):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by every `main` call."""
+    """(parser, commands): the top-level parser and each command's own parser
+    by name, built on first use and shared by every `main` call.
+    """
     parser = _Parser(prog="hppk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("keygen", help="generate a key pair")
+    def command(name, func, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("keygen", _cmd_keygen, "generate a key pair")
     _add_profile_flags(p)
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
     p.add_argument("--out", help="output basename, .hpk/.hsk appended (default: "
                                  "profile label, whose files must not exist yet)")
-    p.set_defaults(func=_cmd_keygen)
 
-    p = sub.add_parser("encaps", help="encapsulate a shared secret")
+    p = command("encaps", _cmd_encaps, "encapsulate a shared secret")
     _add_profile_flags(p)
     p.add_argument("--pk", required=True, help="public key file (.hpk)")
     p.add_argument("--seed", help="32-byte hex seed for deterministic output")
     p.add_argument("--out", help="output basename, .hct/.hss appended (default: "
                                  "pk path minus suffix, whose files must not exist yet)")
-    p.set_defaults(func=_cmd_encaps)
 
-    p = sub.add_parser("decaps", help="recover a shared secret")
+    p = command("decaps", _cmd_decaps, "recover a shared secret")
     _add_profile_flags(p)
     p.add_argument("--sk", required=True, help="secret key file (.hsk)")
     p.add_argument("--ct", required=True, help="ciphertext file (.hct)")
     p.add_argument("--out", help="output file (default: ct stem + .hss, "
                                  "which must not exist yet)")
-    p.set_defaults(func=_cmd_decaps)
 
-    p = sub.add_parser("kat", help="generate or verify known-answer tests")
+    p = command("kat", _cmd_kat, "generate or verify known-answer tests")
     p.add_argument("action", choices=("generate", "verify"))
     p.add_argument("suite", help="KAT suite file")
     p.add_argument("--count", type=int, default=3, help="records per profile")
     p.add_argument("--seed", help="master seed (hex) for generation")
-    p.set_defaults(func=_cmd_kat)
 
-    p = sub.add_parser("bench", help="measure operation latency")
+    p = command("bench", _cmd_bench, "measure operation latency")
     _add_profile_flags(p)
     p.add_argument("--op", required=True, choices=bench.OPERATIONS)
     p.add_argument("--iterations", type=int, default=2000)
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("attack", help="run a desk-scale attack oracle")
+    p = command("attack", _cmd_attack, "run a desk-scale attack oracle")
     p.add_argument("--oracle", required=True, choices=tuple(_ORACLES))
     p.add_argument("--prime", type=int, default=13)
     p.add_argument("--noise", type=int, default=2, help="noise variable count")
@@ -356,14 +361,26 @@ def build_parser():
     p.add_argument("--adversary", default="random",
                    choices=("random", "constant0", "likelihood"))
     p.add_argument("--seed", help="hex seed for reproducible oracle runs")
-    p.set_defaults(func=_cmd_attack)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None):
+    """Run one command line, argv without the program name (default
+    sys.argv[1:]); returns the exit code.
+
+    A known command's arguments are parsed once, by that command's own
+    parser; any other argv goes to the top-level parser for its usage, help
+    or "invalid choice" error.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

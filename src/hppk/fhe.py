@@ -116,7 +116,7 @@ def stack(a, b, width):
     back into v_a and v_b only when v_a < 2**width; the caller bounds the
     entries of a so that it is.
     """
-    return tuple(x + (y << width) for x, y in zip(a, b))
+    return tuple([x + (y << width) for x, y in zip(a, b)])
 
 
 def decrypt_value(key, value, prime):

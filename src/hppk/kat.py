@@ -128,8 +128,6 @@ def parse_suite(fh):
     values = {}
 
     def flush():
-        if not values:
-            return
         if values.get("mode") == "fixture" and "seed" in values:
             raise MalformedEncoding("a fixture record carries no seed")
         values.setdefault("seed", b"")
@@ -143,7 +141,8 @@ def parse_suite(fh):
         for line in fh:
             line = line.strip()
             if not line:
-                flush()
+                if values:
+                    flush()
                 continue
             if line.startswith("#"):
                 continue
@@ -151,18 +150,20 @@ def parse_suite(fh):
             if not eq:
                 raise MalformedEncoding(f"unparseable KAT line: {line!r}")
             key = key.strip()
-            if key not in _FIELDS:
+            field = _FIELDS.get(key)
+            if field is None:
                 raise MalformedEncoding(f"unknown KAT field {key!r}")
             if key in values:
                 # a second value must not silently replace the first
                 raise MalformedEncoding(f"KAT field {key!r} repeated within a record")
             try:
-                values[key] = _FIELDS[key][0](value.strip())
+                values[key] = field[0](value.strip())
             except ValueError as err:
                 raise MalformedEncoding(f"bad KAT field {key!r}: {err}") from err
     except UnicodeDecodeError as err:
         raise MalformedEncoding(f"KAT suite is not valid text: {err}") from err
-    flush()
+    if values:
+        flush()
     return records
 
 

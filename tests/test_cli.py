@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import hppk
 from hppk import analysis, kat
-from hppk.cli import main
+from hppk.cli import build_parser, main
 from hppk.params import PARAMETER_SETS
 
 
@@ -168,6 +169,42 @@ def test_kat_verify_non_utf8_suite_is_malformed(capsys, tmp_path):
     assert err.startswith("hppk: ")
 
 
+def _hppk(*argv, env=(), flags=()):
+    """Run `python <flags> -m hppk.cli argv` in a child; the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hppk.__file__).parents[1]), **dict(env))
+    return subprocess.run([sys.executable, *flags, "-m", "hppk.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_kat_verify_reads_utf8_under_an_ascii_locale(tmp_path):
+    # kat generate writes UTF-8 text, so verify must not decode the suite in
+    # the locale's encoding: under the C locale that is ASCII
+    text = io.StringIO()
+    kat.write_suite(kat.generate_suite(b"hppk-kat-v1", per_profile=1), text)
+    header = "# hppk known-answer tests\n"
+    assert text.getvalue().startswith(header)
+    (tmp_path / "suite.kat").write_bytes(
+        text.getvalue().replace(header, "# hppk known-answer tests — café\n").encode())
+    run = _hppk("kat", "verify", "suite.kat",
+                env={"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "".join(f"{label} count=0 ok\n" for label in SUITE_ORDER)
+
+
+def test_commands_open_no_text_file_in_the_locale_encoding(tmp_path):
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    prof = ("--level", "1")
+    for argv in [
+        ("keygen", *prof, "--seed", SEED, "--out", "k"),
+        ("encaps", *prof, "--pk", "k.hpk", "--seed", SEED, "--out", "e"),
+        ("decaps", *prof, "--sk", "k.hsk", "--ct", "e.hct", "--out", "d.hss"),
+        ("kat", "generate", "suite.kat", "--count", "1"),
+        ("kat", "verify", "suite.kat"),
+    ]:
+        run = _hppk(*argv, flags=flags)
+        assert run.returncode == 0, (argv, run.stderr)
+
+
 def test_decaps_without_out_keeps_the_encapsulators_secret(capsys, tmp_path):
     # encaps without --out writes alice.hct and alice.hss; decaps without
     # --out names the same alice.hss, so it must not replace it
@@ -287,13 +324,18 @@ def test_tampered_ciphertext_decaps_failure(capsys, tmp_path):
     assert "block 2" in err
 
 
+# the profiles of a suite's records, in the order kat verify reports them
+SUITE_ORDER = ("level1-nb1", "level3-nb1", "level5-nb1",
+               "level1-nb2", "level3-nb2", "level5-nb2", "toy")
+
+
 def test_kat_generate_and_verify(capsys, tmp_path):
     code, out, _ = _run(capsys, "kat", "generate", "suite.kat", "--count", "1",
                         "--seed", "33" * 32)
     assert code == 0
-    code, out, _ = _run(capsys, "kat", "verify", "suite.kat")
-    assert code == 0
-    assert out.count(" ok") == 7
+    code, out, err = _run(capsys, "kat", "verify", "suite.kat")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{label} count=0 ok\n" for label in SUITE_ORDER)
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,9 +357,13 @@ def test_kat_verify_detects_corruption(capsys, tmp_path):
     idx = text.index("pk = ") + 5
     flipped = "0" if text[idx] != "0" else "1"
     (tmp_path / "suite.kat").write_text(text[:idx] + flipped + text[idx + 1 :])
-    code, out, _ = _run(capsys, "kat", "verify", "suite.kat")
+    code, out, err = _run(capsys, "kat", "verify", "suite.kat")
     assert code == 3
-    assert "FAIL (pk differs)" in out
+    assert out == "".join(
+        [f"{SUITE_ORDER[0]} count=0 FAIL (pk differs)\n"]
+        + [f"{label} count=0 ok\n" for label in SUITE_ORDER[1:]]
+    )
+    assert err == "1/7 records failed\n"
 
 
 def test_bench_rejects_zero_iterations(capsys):
@@ -494,6 +540,53 @@ def test_attack_fratio_small_prime_draws_no_zero_map(capsys):
 def test_unknown_command_is_usage_error(capsys):
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 1
+
+
+# one argv per command, each setting options away from their defaults
+COMMAND_ARGVS = {
+    "keygen": ["keygen", "--level", "3", "--nb", "2", "--seed", SEED, "--out", "k"],
+    "encaps": ["encaps", "--insecure-test-profile", "--pk", "k.hpk", "--out", "e"],
+    "decaps": ["decaps", "--level", "1", "--sk", "k.hsk", "--ct", "e.hct"],
+    "kat-generate": ["kat", "generate", "s.kat", "--count", "2", "--seed", "00ff"],
+    "kat-verify": ["kat", "verify", "s.kat"],
+    "bench": ["bench", "--op", "encaps", "--level", "5", "--iterations", "7"],
+    "attack": ["attack", "--oracle", "indcpa", "--prime", "17",
+               "--adversary", "likelihood", "--instances", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_ARGVS.values()), ids=list(COMMAND_ARGVS))
+def test_main_parses_a_command_argv_once(monkeypatch, argv):
+    # main's one parse reads what the top-level parser reads, bar the name
+    expected = vars(build_parser()[0].parse_args(argv))
+    del expected["command"]
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    parsed = []
+
+    def spy(self, *args, **kwargs):
+        namespace, extras = parse_known_args(self, *args, **kwargs)
+        parsed.append(dict(vars(namespace)))
+        namespace.func = lambda _: 0  # the parse is under test, not the command
+        return namespace, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert main(argv) == 0
+    assert parsed == [expected]
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    ([], 1, "err", "hppk: error: the following arguments are required: command"),
+    (["nope"], 1, "err", "hppk: error: argument command: invalid choice: 'nope'"),
+    (["-h"], 0, "out", "usage: hppk [-h]"),
+    (["keygen", "-h"], 0, "out", "usage: hppk keygen [-h]"),
+    (["attack"], 1, "err",
+     "hppk attack: error: the following arguments are required: --oracle"),
+    (["keygen", "--bogus"], 1, "err", "hppk keygen: error: unrecognized arguments: --bogus"),
+], ids=["empty", "typo", "help", "command-help", "missing-option", "unknown-option"])
+def test_usage_and_help_exit_codes(capsys, argv, code, stream, text):
+    got, out, err = _run(capsys, *argv)
+    assert got == code
+    assert text in {"out": out, "err": err}[stream]
 
 
 def test_import_leaves_numpy_unloaded():
