@@ -5,7 +5,9 @@ message variable, linear in each noise variable) and two factor
 polynomials f1, f2 over F_p.  The plain public maps are the products
 p1 = b*f1 and p2 = b*f2, held as (message_degree+1) x noise_vars
 coefficient matrices; the published key masks each map with its own
-hidden-ring key.  b is used only to build the products and is
+hidden-ring key.  Both products come from one convolution of b against
+the packed factor f1 + (f2 << shift), split entry by entry (see
+build_plain_central_map).  b is used only to build the products and is
 discarded.  Masking, evaluation and unmasking all go through fhe.
 
 Encrypting evaluates both cipher maps against one monomial table of the
@@ -29,7 +31,19 @@ factor degrees: one modular inversion mod p serves every block's
 divisor, each degree-2 block takes one square root, and the earliest
 failing block is the one reported.  decrypt_block is its one-block case.
 
-A key's checks against a profile live in private_key and PublicKey.stacked.
+Keys are value tuples too, and each key rule is checked once, where
+the key's values enter.  The public constructors hold a hand-built key
+to its structure: fhe.HomomorphicKey to a modulus and a unit of it,
+PrivateKey to one modulus and two factors of equal length with nonzero
+leading coefficients, PublicKey to two rectangular maps of one shape.
+A key's checks against a profile live in private_key, which secret-key
+parsing and keypair_from_values call, and PublicKey.stacked, which
+public-key parsing and the first encryption call.  Sampling builds
+through _make, because what it builds meets every constructor check by
+construction: fhe.he_keygen checks its modulus once and draws each unit
+in (0, S), tested once; sample_keypair redraws zero leading
+coefficients and a proportional f2; and _assemble's two maps are
+products of one base and two factors of one length.
 
 A ciphertext value is checked once, where it enters.  A parsed value
 meets kem.deserialize_ct's width rule: below 2**value_bits <= 2**256,
@@ -40,7 +54,6 @@ So both build their BlockCiphertext through _make, and only a block
 built by hand meets the constructor's capacity check.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fhe
@@ -60,22 +73,33 @@ from .modmath import mod_inverse  # noqa: F401
 _CRC_POLY = 0x07  # x^8 + x^2 + x + 1, MSB first, init 0, no final xor
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    """The two hidden-ring keys, over one shared modulus, and f1, f2."""
-
+class _PrivateValues(NamedTuple):
     key1: fhe.HomomorphicKey
     key2: fhe.HomomorphicKey
     f1: tuple
     f2: tuple
 
-    def __post_init__(self):
-        if self.key1.modulus != self.key2.modulus:
+
+class PrivateKey(_PrivateValues):
+    """The two hidden-ring keys, over one shared modulus, and f1, f2, as a
+    value tuple.
+
+    The constructor holds a hand-built key to one modulus, factors of
+    equal length and nonzero leading coefficients (ValueError);
+    sample_keypair builds through _make, as what it samples meets all
+    three by construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, key1, key2, f1, f2):
+        if key1.modulus != key2.modulus:
             raise ValueError("both multipliers must belong to one hidden ring")
-        if len(self.f1) != len(self.f2):
+        if len(f1) != len(f2):
             raise ValueError("factor polynomials must have equal length")
-        if self.f1[-1] == 0 or self.f2[-1] == 0:
+        if f1[-1] == 0 or f2[-1] == 0:
             raise ValueError("factor polynomials need nonzero leading coefficients")
+        return super().__new__(cls, key1, key2, f1, f2)
 
     @property
     def modulus(self):
@@ -90,20 +114,28 @@ class PrivateKey:
         return self.key2.mult
 
 
-@dataclass(frozen=True)
-class PublicKey:
-    """Two cipher coefficient matrices, (message_degree+1) rows x noise_vars cols."""
-
+class _PublicMaps(NamedTuple):
     p1: tuple
     p2: tuple
 
-    def __post_init__(self):
-        for mat in (self.p1, self.p2):
+
+class PublicKey(_PublicMaps):
+    """Two cipher coefficient matrices, (message_degree+1) rows x noise_vars
+    cols, as a value tuple.
+
+    The constructor holds hand-built maps to two rectangular matrices of
+    one shape (ValueError); _assemble builds through _make, as both of its
+    maps are products of one base and two factors of one length.
+    """
+
+    def __new__(cls, p1, p2):
+        for mat in (p1, p2):
             widths = {len(row) for row in mat}
             if len(widths) != 1:
                 raise ValueError("ragged coefficient matrix")
-        if len(self.p1) != len(self.p2) or len(self.p1[0]) != len(self.p2[0]):
+        if len(p1) != len(p2) or len(p1[0]) != len(p2[0]):
             raise ValueError("matrices must share one shape")
+        return super().__new__(cls, p1, p2)
 
     @property
     def shape(self):
@@ -119,8 +151,8 @@ class PublicKey:
         noise_vars shape, and the split of a stacked evaluation is exact only
         when every entry lies in [0, 2**ring_bits), so that each map's value
         stays below 2**value_bits; anything else raises ValueError.  The stack
-        is kept outside the dataclass fields, unseen by equality, hash, repr
-        and the wire format, and is checked and rebuilt when another
+        is kept in the instance __dict__, unseen by equality, hash, repr and
+        the wire format, and is checked and rebuilt when another
         ParameterSet object asks for it.
         """
         cached = self.__dict__.get("_stacked")
@@ -133,7 +165,7 @@ class PublicKey:
                 raise ValueError("public key coefficient outside [0, 2**ring_bits)")
             half = len(entries) // 2
             cached = params, fhe.stack(entries[:half], entries[half:], params.value_bits)
-            object.__setattr__(self, "_stacked", cached)
+            self.__dict__["_stacked"] = cached
         return cached[1]
 
 
@@ -216,21 +248,33 @@ def verify_flag(formatted, params):
 # -- key construction
 
 
-def build_plain_central_map(base_rows, factor, prime):
-    """Multiply the base polynomial by one factor, column by column.
+def build_plain_central_map(base_rows, f1, f2, prime):
+    """Both plain maps, b*f1 and b*f2, from one column-wise convolution.
 
-    base_rows is (base_degree+1) x noise_vars; factor has factor_degree+1
-    coefficients, ascending.  Row i of the output collects every product
-    base[s][j] * factor[t] with s + t = i, mod prime: a per-column
-    convolution, summed in place and reduced once per entry.
+    base_rows is (base_degree+1) x noise_vars and f1, f2 have
+    factor_degree+1 coefficients each, ascending, every entry in [0, p).
+    The base is convolved once against the packed factor
+    f1[t] + (f2[t] << shift): row i of the result collects every
+    base[s][j] * packed[t] with s + t = i, so each entry is
+    sum1 + (sum2 << shift), with sum1, sum2 the plain sums of the two
+    products.  A plain sum adds at most factor_degree+1 products below
+    p**2 <= 2**(2*prime_bits), so it stays below 2**shift with
+    shift = 2*prime_bits + bit_length(factor_degree+1), and one mask and
+    one shift split each entry exactly before its reduction mod p.
     """
-    out = [[0] * len(base_rows[0]) for _ in range(len(base_rows) + len(factor) - 1)]
+    shift = 2 * prime.bit_length() + len(f1).bit_length()
+    packed = [a + (b << shift) for a, b in zip(f1, f2)]
+    out = [[0] * len(base_rows[0]) for _ in range(len(base_rows) + len(packed) - 1)]
     for s, row in enumerate(base_rows):
-        for t, f in enumerate(factor):
+        for t, g in enumerate(packed):
             acc = out[s + t]
             for j, c in enumerate(row):
-                acc[j] += c * f
-    return tuple([tuple(map(prime.__rmod__, row)) for row in out])
+                acc[j] += c * g
+    mask = (1 << shift) - 1
+    return (
+        tuple([tuple([(v & mask) % prime for v in row]) for row in out]),
+        tuple([tuple([(v >> shift) % prime for v in row]) for row in out]),
+    )
 
 
 def _proportional(f1, f2, prime):
@@ -255,17 +299,17 @@ def _sample_base(params, rng):
     return [flat[i : i + m] for i in range(0, len(flat), m)]
 
 
-def _zero_mod(rows, prime):
-    """True when every entry of the matrix is 0 mod prime."""
-    return not any(c % prime for row in rows for c in row)
+def _zero(rows):
+    """True when every entry of the matrix is 0."""
+    return not any(map(any, rows))
 
 
 def _assemble(params, sk, base_rows):
-    """Build both products b*f1, b*f2 and mask each under its own key."""
-    p = params.prime
-    pk = PublicKey(
-        fhe.encrypt_coeffs(sk.key1, build_plain_central_map(base_rows, sk.f1, p)),
-        fhe.encrypt_coeffs(sk.key2, build_plain_central_map(base_rows, sk.f2, p)),
+    """Build both products b*f1, b*f2 in one convolution and mask each under
+    its own key; base entries must lie in [0, p)."""
+    plain1, plain2 = build_plain_central_map(base_rows, sk.f1, sk.f2, params.prime)
+    pk = PublicKey._make(
+        (fhe.encrypt_coeffs(sk.key1, plain1), fhe.encrypt_coeffs(sk.key2, plain2))
     )
     return sk, pk
 
@@ -292,13 +336,17 @@ def private_key(params, modulus, r1, r2, f1, f2):
 def keypair_from_values(params, modulus, r1, r2, f1, f2, base_rows):
     """Assemble a key pair from explicit private values (fixtures, KATs).
 
-    Raises ValueError for a base matrix of the wrong shape or zero mod p.
+    The base may hold any integers: it is reduced mod p first, which
+    leaves both products mod p unchanged.  Raises ValueError for a base
+    matrix of the wrong shape or zero mod p.
     """
     if len(base_rows) != params.base_degree + 1 or any(
         len(row) != params.noise_vars for row in base_rows
     ):
         raise ValueError("base matrix shape does not match the parameter set")
-    if _zero_mod(base_rows, params.prime):
+    p = params.prime
+    base_rows = [[c % p for c in row] for row in base_rows]
+    if _zero(base_rows):
         raise ValueError("base matrix is zero mod p")
     return _assemble(params, private_key(params, modulus, r1, r2, f1, f2), base_rows)
 
@@ -311,8 +359,9 @@ def sample_keypair(params, ring_bits, rng):
     row-major.  Constraints are enforced by resampling: multipliers must
     be units, leading factor coefficients nonzero, f2 is redrawn whole
     while proportional to f1, and the base matrix is redrawn whole while
-    it is zero mod p (its key would publish zero maps).  The base matrix
-    is discarded after the products are built.
+    it is zero (its key would publish zero maps), so the keys are built
+    through _make.  The base matrix is discarded after the products are
+    built.
     """
     p = params.prime
     modulus = fhe.ring_gen(ring_bits, rng)
@@ -323,9 +372,9 @@ def sample_keypair(params, ring_bits, rng):
     while _proportional(f1, f2, p):
         f2 = _sample_factor(p, params.factor_degree, rng)
     base_rows = _sample_base(params, rng)
-    while _zero_mod(base_rows, p):
+    while _zero(base_rows):
         base_rows = _sample_base(params, rng)
-    return _assemble(params, PrivateKey(key1, key2, tuple(f1), tuple(f2)), base_rows)
+    return _assemble(params, PrivateKey._make((key1, key2, tuple(f1), tuple(f2))), base_rows)
 
 
 def keygen(params, rng):

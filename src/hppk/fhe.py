@@ -1,14 +1,17 @@
 """Coefficient-wise homomorphic encryption over a hidden ring.
 
-A key is a pair (S, R): S is a secret ring modulus and R a unit of Z_S.
-HomomorphicKey checks both when it is built; masking needs only R, and the
-first decryption derives R^-1 mod S (invert_units: one inversion for a
-private key's two units).  A polynomial is a coefficient matrix (rows x
-cols); one with T terms is a 1 x T matrix.  Encrypting multiplies every
-coefficient by R mod S.  The variables stay in F_p, so anyone can still
-evaluate the cipher polynomial: the sum of coefficient * monomial value
-over the integers, with the coefficients and a table of their monomial
-values mod p both read flat, row-major.  Whoever holds (S, R) unmasks with
+A key is a pair (S, R): S is a secret ring modulus and R a unit of Z_S,
+held as a value tuple.  A key built by hand meets HomomorphicKey's checks
+of both; he_keygen checks its modulus once, before it draws, and builds
+its key through _make, as the unit it returns is one by construction.
+Masking needs only R, and the first decryption derives R^-1 mod S
+(invert_units: one inversion for a private key's two units).  A
+polynomial is a coefficient matrix (rows x cols); one with T terms is a
+1 x T matrix.  Encrypting multiplies every coefficient by R mod S.  The
+variables stay in F_p, so anyone can still evaluate the cipher
+polynomial: the sum of coefficient * monomial value over the integers,
+with the coefficients and a table of their monomial values mod p both
+read flat, row-major.  Whoever holds (S, R) unmasks with
 R^-1 mod S and reduces mod p to recover the polynomial value.
 
 Correctness needs the plain integer sum to stay below S, which the ring
@@ -24,33 +27,37 @@ are the two values exactly.
 """
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotCoprime
 from .modmath import batch_inverse, ensure_wide
 
 
-@dataclass(frozen=True)
-class HomomorphicKey:
-    """The pair (S, R): a ring modulus and a unit of Z_S.
-
-    R^-1 mod S is derived on first use, by invert_units.  A modulus that
-    is not an int raises TypeError, a negative one or one wider than 256 bits
-    CapacityExceeded.  mult outside (0, S) raises ValueError, so S >= 2,
-    and a non-unit NotCoprime.
-    """
-
+class _KeyValues(NamedTuple):
     modulus: int
     mult: int
 
-    def __post_init__(self):
-        ensure_wide(self.modulus, "ring modulus")
-        if not 0 < self.mult < self.modulus:
+
+class HomomorphicKey(_KeyValues):
+    """The pair (S, R): a ring modulus and a unit of Z_S, as a value tuple.
+
+    The constructor checks a hand-built key: a modulus that is not an int
+    raises TypeError, a negative one or one wider than 256 bits
+    CapacityExceeded; mult outside (0, S) raises ValueError, so S >= 2,
+    and a non-unit NotCoprime.  he_keygen builds through _make.  R^-1 mod S
+    is derived on first use, by invert_units, and cached in the instance
+    __dict__, unseen by equality, hash and repr.
+    """
+
+    def __new__(cls, modulus, mult):
+        ensure_wide(modulus, "ring modulus")
+        if not 0 < mult < modulus:
             raise ValueError("multiplier must lie in (0, S)")
-        if gcd(self.mult, self.modulus) != 1:
+        if gcd(mult, modulus) != 1:
             raise NotCoprime("multiplier is not a unit of the ring")
+        return super().__new__(cls, modulus, mult)
 
     @cached_property
     def mult_inv(self):
@@ -79,11 +86,16 @@ def ring_gen(bits, rng):
 
 
 def he_keygen(modulus, rng):
-    """Sample a unit of Z_S by rejection: zero and non-units are redrawn."""
+    """Sample a unit of Z_S by rejection: zero and non-units are redrawn.
+
+    The modulus meets ensure_wide once, before the first draw; r is
+    drawn below S and tested once, so the key is built through _make.
+    """
+    ensure_wide(modulus, "ring modulus")
     while True:
         r = rng.below(modulus)
         if r and gcd(r, modulus) == 1:
-            return HomomorphicKey(modulus, r)
+            return HomomorphicKey._make((modulus, r))
 
 
 def encrypt_value(key, value):

@@ -13,7 +13,7 @@ private values no stream would reproduce, and is verified by rebuilding
 it from the constants below.
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import kem
 from .block import decrypt_block, encrypt_block, keygen, keypair_from_values
@@ -34,8 +34,7 @@ TOY_SECRET = 8
 TOY_NOISE = (3, 6)
 
 
-@dataclass(frozen=True)
-class KatRecord:
+class KatRecord(NamedTuple):
     profile: str
     count: int
     mode: str  # "seeded" or "fixture"
@@ -50,8 +49,8 @@ class KatRecord:
 # order; `count` is decimal, bytes are hex, and only seeded records carry
 # a seed line.
 _FIELDS = {
-    f.name: {str: (str, str), int: (int, str), bytes: (bytes.fromhex, bytes.hex)}[f.type]
-    for f in fields(KatRecord)
+    name: {str: (str, str), int: (int, str), bytes: (bytes.fromhex, bytes.hex)}[kind]
+    for name, kind in KatRecord.__annotations__.items()
 }
 
 
@@ -179,10 +178,10 @@ def verify_record(rec):
         expected = record_from_seed(rec.profile, rec.count, rec.seed)
     else:
         return False, "mode"
-    for name in _FIELDS:
-        if getattr(rec, name) != getattr(expected, name):
-            return False, name
-    return True, None
+    if rec == expected:
+        return True, None
+    # name the first differing field, in record order
+    return False, next(name for name, a, b in zip(_FIELDS, rec, expected) if a != b)
 
 
 def verify_suite(records):

@@ -37,11 +37,9 @@ TOY_P2 = ((6152, 3245), (3891, 6152), (3568, 2922))
 
 
 def test_build_plain_central_map_toy():
-    assert build_plain_central_map(TOY_B, (4, 9), 13) == (
-        (6, 7), (9, 11), (11, 8)
-    )
-    assert build_plain_central_map(TOY_B, (10, 7), 13) == (
-        (2, 11), (9, 2), (10, 12)
+    assert build_plain_central_map(TOY_B, (4, 9), (10, 7), 13) == (
+        ((6, 7), (9, 11), (11, 8)),
+        ((2, 11), (9, 2), (10, 12)),
     )
 
 
@@ -53,24 +51,45 @@ def _convolution_inputs(draw):
     coeff = st.integers(0, p - 1)
     row = st.lists(coeff, min_size=noise_vars, max_size=noise_vars)
     base = draw(st.lists(row, min_size=base_degree + 1, max_size=base_degree + 1))
-    factor = draw(st.lists(coeff, min_size=factor_degree + 1, max_size=factor_degree + 1))
-    return base, factor, p
+    factor = st.lists(coeff, min_size=factor_degree + 1, max_size=factor_degree + 1)
+    return base, draw(factor), draw(factor), p
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(_convolution_inputs())
-def test_build_plain_central_map_matches_a_per_product_reference(inputs):
-    base, factor, p = inputs
+def _product_reference(base, factor, p):
+    """b*f mod p, one product at a time."""
     expected = [[0] * len(base[0]) for _ in range(len(base) + len(factor) - 1)]
     for s, row in enumerate(base):
         for t, f in enumerate(factor):
             for j, c in enumerate(row):
                 expected[s + t][j] = (expected[s + t][j] + c * f) % p
-    assert build_plain_central_map(base, factor, p) == tuple(map(tuple, expected))
+    return tuple(map(tuple, expected))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_convolution_inputs())
+def test_build_plain_central_map_matches_a_per_product_reference(inputs):
+    base, f1, f2, p = inputs
+    assert build_plain_central_map(base, f1, f2, p) == (
+        _product_reference(base, f1, p), _product_reference(base, f2, p)
+    )
 
 
 def test_build_plain_central_map_identity_factor():
-    assert build_plain_central_map(TOY_B, (1,), 13) == TOY_B
+    doubled = tuple(tuple(2 * c % 13 for c in row) for row in TOY_B)
+    assert build_plain_central_map(TOY_B, (1,), (2,), 13) == (TOY_B, doubled)
+
+
+def test_build_plain_central_map_widest_plain_sum():
+    # every coefficient p - 1: a middle row of a degree-3 base times a
+    # degree-2 factor sums 3 products of (p - 1)**2, which needs all
+    # 2*64 + bit_length(3) = 130 bits of the packed shift
+    p = DEFAULT_PRIME_64
+    base = [[p - 1] * 3 for _ in range(4)]
+    factor = (p - 1,) * 3
+    assert 3 * (p - 1) ** 2 >= 1 << 129
+    maps = build_plain_central_map(base, factor, factor, p)
+    assert maps == (_product_reference(base, factor, p),) * 2
+    assert maps[0][2] == (3,) * 3
 
 
 def test_keygen_replays_toy_vector(toy_params):
@@ -451,6 +470,18 @@ def test_keypair_from_values_rejects_moduli_that_are_not_wide_ints(
 ):
     with pytest.raises(error):
         keypair_from_values(toy_params, modulus, 4267, 6475, (4, 9), (10, 7), TOY_B)
+
+
+@pytest.mark.parametrize("shift", [13, -13, 13 * 3**70], ids=["p", "minus-p", "wide"])
+def test_keypair_from_values_reduces_its_base_mod_p(toy_params, toy_keypair, shift):
+    # a base entry moved by a multiple of p, to p or more or below 0,
+    # gives the same key pair as the base in [0, p)
+    base = [list(row) for row in TOY_B]
+    base[0][0] += shift
+    assert base[0][0] >= 13 or base[0][0] < 0
+    assert keypair_from_values(
+        toy_params, 6798, 4267, 6475, (4, 9), (10, 7), base
+    ) == toy_keypair
 
 
 def test_private_key_rejects_keys_over_two_moduli():

@@ -101,6 +101,19 @@ def test_homomorphic_key_rejects_bad_moduli(modulus, error):
         fhe.HomomorphicKey(modulus, 1)
 
 
+@pytest.mark.parametrize("modulus, error", [
+    (6798.0, TypeError),
+    (1 << 256, CapacityExceeded),
+    (-6798, CapacityExceeded),
+], ids=["float", "2^256", "negative"])
+def test_he_keygen_checks_its_modulus_before_drawing(modulus, error):
+    # the one check of a sampled key: its units are units by construction
+    rng = DeterministicStream(b"he-keygen-modulus")
+    with pytest.raises(error):
+        fhe.he_keygen(modulus, rng)
+    assert rng.take_bytes(16) == DeterministicStream(b"he-keygen-modulus").take_bytes(16)
+
+
 def test_he_keygen_rejects_non_units():
     # gcd(2, 8) = 2, so 2 is skipped, and so is a zero draw
     for draws in ([2, 5], [0, 2, 5]):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 
@@ -88,7 +87,7 @@ def test_fixture_record_tamper_detected():
     ({"count": 7}, "count"),
 ], ids=["profile-and-count", "profile", "count"])
 def test_fixture_record_relabel_detected(label, expected):
-    ok, field = kat.verify_record(dataclasses.replace(kat.toy_vector(), **label))
+    ok, field = kat.verify_record(kat.toy_vector()._replace(**label))
     assert not ok and field == expected
 
 

@@ -8,6 +8,7 @@ from hppk import fhe, kem
 from hppk import kat
 from hppk.block import (
     BlockCiphertext,
+    PrivateKey,
     PublicKey,
     decrypt_block,
     encrypt_block,
@@ -642,6 +643,80 @@ def test_hand_built_blocks_are_checked(values, error):
 def test_hand_built_ciphertext_needs_a_block():
     with pytest.raises(ValueError, match="at least one block"):
         kem.KemCiphertext(())
+
+
+# -- keys are value tuples, checked where their values enter
+
+
+def _toy_keys(r1=kat.TOY_R1, r2=kat.TOY_R2, modulus2=kat.TOY_MODULUS):
+    return (fhe.HomomorphicKey(kat.TOY_MODULUS, r1), fhe.HomomorphicKey(modulus2, r2))
+
+
+def _toy_pk_bytes(toy_params, rows):
+    return b"".join(c.to_bytes(toy_params.coeff_bytes, "little") for row in rows for c in row)
+
+
+_TOY_MAP = ((1, 2), (3, 4), (5, 6))
+
+# what each public constructor raises for a hand-built key, and, where a
+# wire key can carry the fault, the values or entry rows that carry it: a
+# parsed key has one modulus, equal factor lengths and the profile's
+# shape, so a ragged or mismatched wire key is one of the wrong length
+HAND_BUILT_KEYS = {
+    "modulus-float": (lambda: fhe.HomomorphicKey(6798.0, 4267), TypeError, None),
+    "modulus-bool": (lambda: fhe.HomomorphicKey(True, 1), TypeError, None),
+    "modulus-2^256": (lambda: fhe.HomomorphicKey(1 << 256, 4267), CapacityExceeded, None),
+    "modulus-negative": (lambda: fhe.HomomorphicKey(-6798, 4267), CapacityExceeded, None),
+    "mult-zero": (lambda: _toy_keys(r1=0), ValueError, ("sk", {"r1": 0})),
+    "mult-is-S": (lambda: _toy_keys(r2=6798), ValueError, ("sk", {"r2": 6798})),
+    "non-unit": (lambda: _toy_keys(r1=4266), NotCoprime, ("sk", {"r1": 4266})),
+    "two-moduli": (
+        lambda: PrivateKey(*_toy_keys(modulus2=6799, r2=4267), (4, 9), (10, 7)),
+        ValueError, None,
+    ),
+    "factor-lengths": (
+        lambda: PrivateKey(*_toy_keys(), (4, 9), (10, 7, 1)), ValueError, None,
+    ),
+    "zero-leading": (
+        lambda: PrivateKey(*_toy_keys(), (4, 0), (10, 7)), ValueError, ("sk", {"f1": (4, 0)}),
+    ),
+    "ragged": (
+        lambda: PublicKey(((1, 2), (3,), (5, 6)), _TOY_MAP), ValueError,
+        ("pk", ((1, 2), (3,), (5, 6)) + _TOY_MAP),
+    ),
+    "mismatched": (
+        lambda: PublicKey(_TOY_MAP, _TOY_MAP + ((7, 8),)), ValueError,
+        ("pk", _TOY_MAP * 2 + ((7, 8),)),
+    ),
+    "keygen-built": (None, None, None),
+}
+
+
+@pytest.mark.parametrize("build, error, wire", HAND_BUILT_KEYS.values(), ids=HAND_BUILT_KEYS)
+def test_hand_built_keys_keep_their_checks(toy_params, build, error, wire):
+    if build is None:
+        # keygen builds unchecked; the checking constructors accept what it
+        # builds and give an equal key, as both parsers do
+        for params in (toy_params, PARAMETER_SETS["level1-nb1"], DEG2):
+            sk, pk = keygen(params, DeterministicStream(f"rebuilt/{params.label}".encode()))
+            keys = [fhe.HomomorphicKey(k.modulus, k.mult) for k in (sk.key1, sk.key2)]
+            rebuilt = PrivateKey(*keys, sk.f1, sk.f2), PublicKey(pk.p1, pk.p2)
+            parsed = (kem.deserialize_sk(kem.serialize_sk(sk, params), params),
+                      kem.deserialize_pk(kem.serialize_pk(pk, params), params))
+            assert rebuilt == parsed == (sk, pk)
+            assert [type(k) for k in (*rebuilt, *parsed)] == [PrivateKey, PublicKey] * 2
+        return
+    with pytest.raises(error):
+        build()
+    if wire is None:
+        return
+    which, fault = wire
+    if which == "sk":
+        data, parse = _toy_sk_bytes(toy_params, **{**TOY_PRIVATE, **fault}), kem.deserialize_sk
+    else:
+        data, parse = _toy_pk_bytes(toy_params, fault), kem.deserialize_pk
+    with pytest.raises(MalformedEncoding):
+        parse(data, toy_params)
 
 
 # the six production profiles, the benchmark's degree-2 profile and toy
