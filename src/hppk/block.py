@@ -28,8 +28,9 @@ evaluates each block's table against them; encrypt_block is its
 one-block case, behind the entry checks of a caller's secret and noise.
 decrypt_blocks decrypts all blocks of one ciphertext together, for both
 factor degrees: one modular inversion mod p serves every block's
-divisor, each degree-2 block takes one square root, and the earliest
-failing block is the one reported.  decrypt_block is its one-block case.
+divisor and every nonzero degree-2 discriminant, each degree-2 block
+takes one square root, and the earliest failing block is the one
+reported.  decrypt_block is its one-block case.
 
 Keys are value tuples too, and each key rule is checked once, where
 the key's values enter.  The public constructors hold a hand-built key
@@ -444,17 +445,19 @@ def encrypt_block(pk, params, x, noise):
     return encrypt_blocks(pk, params, ((x, noise),))[0]
 
 
-def _flagged_root(coeffs, inv, params):
+def _flagged_root(coeffs, inv, disc, disc_inv, params):
     """The payload of the one root of a degree-2 block whose CRC flag verifies.
 
     coeffs are (d0, d1, d2) of c2*f1(x) - c1*f2(x) mod p, and inv inverts
     the block's divisor: 2*d2 for a quadratic, d1 when d2 vanishes and
-    the block is linear.  A quadratic takes one square root.
+    the block is linear.  A quadratic takes one square root of its
+    discriminant disc, with disc_inv its inverse mod p when disc is
+    nonzero.
     """
     p = params.prime
     d0, d1, d2 = coeffs
     if d2:
-        roots = [(s - d1) * inv % p for s in sqrt_mod(d1 * d1 - 4 * d2 * d0, p)]
+        roots = [(s - d1) * inv % p for s in sqrt_mod(disc, p, disc_inv)]
     else:
         roots = [-d0 * inv % p]
     verified = [r for r in roots if verify_flag(r, params)]
@@ -470,13 +473,16 @@ def decrypt_blocks(sk, params, blocks):
     mod p and forms the coefficients of c2*f1(x) - c1*f2(x), of which the
     block secret is a root; c2 itself is never inverted.  Each block's
     divisor is d1 for a linear equation (factor_degree 1, or a degree-2
-    block whose quadratic coefficient vanishes) and 2*d2 for a quadratic.
-    The pass stops at the first block that raises ZeroDenominator (c2 = 0
-    mod p) or DegenerateEquation (no nonzero divisor).  One batch_inverse
-    then inverts the divisors of the blocks before it, and the second pass
-    solves them in order: x = -d0/d1 for factor_degree 1, and for
-    factor_degree 2 the payload of the one root, found with one square
-    root, whose CRC flag verifies (else NoValidRoot).
+    block whose quadratic coefficient vanishes) and 2*d2 for a quadratic,
+    whose discriminant d1**2 - 4*d2*d0 follows it into the batch when
+    nonzero (a zero one is a double root, whose square root needs no
+    inverse).  The pass stops at the first block that raises
+    ZeroDenominator (c2 = 0 mod p) or DegenerateEquation (no nonzero
+    divisor).  One batch_inverse then inverts the divisors and
+    discriminants of the blocks before it, and the second pass solves
+    them in order: x = -d0/d1 for factor_degree 1, and for factor_degree
+    2 the payload of the one root, found with one sqrt_mod given the
+    discriminant's inverse, whose CRC flag verifies (else NoValidRoot).
 
     Raises DecapsFailure(k, cause) for the earliest failing block k,
     whichever pass found its failure.
@@ -491,11 +497,16 @@ def decrypt_blocks(sk, params, blocks):
         c1 = fhe.decrypt_value(key1, ct.value1, p)
         c2 = fhe.decrypt_value(key2, ct.value2, p)
         coeffs = [(c2 * a - c1 * b) % p for a, b in zip(f1, f2)]
+        disc = None
         try:
             if c2 == 0:
                 raise ZeroDenominator("second map evaluates to 0 mod p")
             if quadratic and coeffs[2]:
-                divisors.append(2 * coeffs[2] % p)
+                d0, d1, d2 = coeffs
+                divisors.append(2 * d2 % p)
+                disc = (d1 * d1 - 4 * d2 * d0) % p
+                if disc:
+                    divisors.append(disc)
             elif coeffs[1]:
                 divisors.append(coeffs[1])
             else:
@@ -503,14 +514,17 @@ def decrypt_blocks(sk, params, blocks):
         except (ZeroDenominator, DegenerateEquation) as err:
             failure = DecapsFailure(k, err)
             break
-        equations.append(coeffs)
+        equations.append((coeffs, disc))
     payloads = []
-    for k, (coeffs, inv) in enumerate(zip(equations, batch_inverse(divisors, p))):
+    inverses = iter(batch_inverse(divisors, p))
+    for k, (coeffs, disc) in enumerate(equations):
+        inv = next(inverses)
         if not quadratic:
             payloads.append(-coeffs[0] * inv % p)
             continue
+        disc_inv = next(inverses) if disc else None
         try:
-            payloads.append(_flagged_root(coeffs, inv, params))
+            payloads.append(_flagged_root(coeffs, inv, disc, disc_inv, params))
         except NoValidRoot as err:
             raise DecapsFailure(k, err) from err
     if failure is not None:

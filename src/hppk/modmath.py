@@ -111,9 +111,44 @@ def is_prime_64(n):
     return True
 
 
+# CPython's three-argument pow squares bit by bit up to a 60-bit exponent
+# and switches to a 5-bit window, with a 32-entry table to build, above it:
+# pow(a, 1 << 60, p) costs about a third more than pow(a, 1 << 59, p) at a
+# 64-bit p.  So a run of squarings takes at most 59 at a time.
+_POW_RUN = 59
+
+
+def _signed_runs(e):
+    """The square-and-multiply walk from a**1 to a**e, e >= 0, as (1 << run,
+    digit) steps: square run times, then multiply by a for digit 1, by
+    a**-1 for digit -1, by nothing for 0.
+
+    The digits are e's non-adjacent signed-digit form (Knuth, TAOCP Vol. 2
+    4.6.3), with the fewest nonzero digits; its top digit is the walk's
+    start a.  e = 0 is the one step 1 - 1: no squaring, then a**-1.
+    """
+    if e == 0:
+        return ((1, -1),)
+    digits = []  # lowest first
+    while e:
+        d = 2 - (e & 3) if e & 1 else 0
+        digits.append(d)
+        e = (e - d) >> 1
+    steps, run = [], 0
+    for d in reversed(digits[:-1]):
+        run += 1
+        if d or run == _POW_RUN:
+            steps.append((1 << run, d))
+            run = 0
+    if run:
+        steps.append((1 << run, 0))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=32)
 def _tonelli_constants(p):
-    """(q, s, z**q mod p) with p - 1 = q * 2**s, q odd, z the least non-residue."""
+    """(q, s, z**q mod p, the _signed_runs walk to (q-1)/2) with
+    p - 1 = q * 2**s, q odd, z the least non-residue."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -121,10 +156,10 @@ def _tonelli_constants(p):
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    return q, s, pow(z, q, p)
+    return q, s, pow(z, q, p), _signed_runs((q - 1) // 2)
 
 
-def sqrt_mod(a, p):
+def sqrt_mod(a, p, a_inv=None):
     """All square roots of a modulo an odd prime p, sorted ascending.
 
     Returns [] when a is a non-residue, [0] when a = 0, and the pair
@@ -134,14 +169,30 @@ def sqrt_mod(a, p):
     measures how far r is from a root.  A non-residue shows up as t of
     order 2**s, so no separate Euler-criterion test is needed; when
     p = 3 (mod 4), s = 1 and the loop never runs for a residue.
+
+    w comes from the prime's cached signed-digit walk, runs of at most
+    59 squarings between multiplications by a or its inverse: at
+    p = 2**64 - 59, (q-1)/2 = 2**61 - 2**3 is 61 squarings and one
+    multiplication by a**-1.  a_inv, when given, must be that inverse
+    mod p (decrypt_blocks takes it from its batch inversion); without it
+    the inverse comes from mod_inverse.  A zero a returns before a_inv
+    is read.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         return [0]
-    q, m, c = _tonelli_constants(p)
-    w = pow(a, (q - 1) // 2, p)
+    if a_inv is None:
+        a_inv = mod_inverse(a, p)
+    q, m, c, runs = _tonelli_constants(p)
+    w = a
+    for power, digit in runs:
+        w = pow(w, power, p)
+        if digit > 0:
+            w = w * a % p
+        elif digit:
+            w = w * a_inv % p
     r = a * w % p
     t = r * w % p
     while t != 1:

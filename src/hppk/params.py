@@ -2,8 +2,8 @@
 
 Every size and loop bound in the package derives from these five numbers.
 The six shipped production profiles all use the largest 64-bit prime
-2**64 - 59 and a 136-bit ring (2 * 64 + 8, which covers the term-count
-margin for every shipped shape and fixes 17-byte coefficients):
+2**64 - 59 and a 136-bit ring (2 * 64 + 8, the default width for every
+shape under 128 terms, which fixes 17-byte coefficients):
 
     label        prime bits  base_degree  factor_degree  noise_vars
     level1-nb1   64          1            1              3
@@ -16,6 +16,12 @@ margin for every shipped shape and fixes 17-byte coefficients):
 The "toy" profile (p = 13, 13-bit ring, 2 noise variables) exists for
 known-answer tests and the attack oracles only; the CLI refuses it
 without --insecure-test-profile.
+
+A ring must be wider than 2 * prime_bits + bit_length(term_count) bits,
+so the default width is 2 * prime_bits + max(8, bit_length(term_count)
++ 1): the +1 clears that bound for any term count, and the floor of 8
+keeps every shape under 128 terms, the shipped ones among them, at
+2 * prime_bits + 8.
 """
 
 from dataclasses import dataclass, field
@@ -39,9 +45,12 @@ class ParameterSet:
     base_degree    order of the base polynomial in the message variable
     factor_degree  order of the two factor polynomials f1, f2 (1 or 2)
     noise_vars     number of noise variables
-    ring_bits      exact bit length of the hidden ring modulus; defaults
-                   to 2 * prime_bits + 8, and value_bits may not exceed
-                   the 256-bit capacity of the arithmetic
+    ring_bits      exact bit length of the hidden ring modulus; must
+                   exceed 2 * prime_bits + bit_length(term_count), and
+                   defaults to 2 * prime_bits + max(8,
+                   bit_length(term_count) + 1) (see the module
+                   docstring); value_bits may not exceed the 256-bit
+                   capacity of the arithmetic
     """
 
     prime: int
@@ -63,7 +72,8 @@ class ParameterSet:
         if self.noise_vars < 2:
             raise ValueError("at least 2 noise variables required")
         if self.ring_bits == 0:
-            object.__setattr__(self, "ring_bits", 2 * self.prime_bits + 8)
+            margin = max(8, self.term_count.bit_length() + 1)
+            object.__setattr__(self, "ring_bits", 2 * self.prime_bits + margin)
         if self.ring_bits <= 2 * self.prime_bits + self.term_count.bit_length():
             raise ValueError(
                 "ring_bits must exceed 2*prime_bits + bit_length(term_count)"

@@ -469,6 +469,16 @@ def test_attack_fratio(capsys):
     assert all(row[4] == "True" for row in rows[1:])
 
 
+def test_attack_fratio_at_129_terms_takes_its_default_ring(capsys):
+    # 43 noise variables make 129 terms, past the 8-bit margin of smaller shapes
+    code, out, err = _run(capsys, "attack", "--oracle", "fratio", "--prime", "13",
+                          "--noise", "43", "--instances", "3", "--seed", "43")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert all(row[2] == "43" and row[4] == "True" for row in rows[1:])
+
+
 # Rows of each oracle at fixed seeds, without the wall-time column; they
 # pin the draws, the fields and the verdict of every oracle.
 RECORDED_ATTACK_ROWS = {

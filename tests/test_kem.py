@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -13,10 +14,12 @@ from hppk.block import (
     decrypt_block,
     encrypt_block,
     encrypt_blocks,
+    extract_payload,
     format_plaintext,
     keygen,
     keypair_from_values,
     monomial_table,
+    verify_flag,
 )
 from hppk.errors import (
     CapacityExceeded,
@@ -28,7 +31,7 @@ from hppk.errors import (
     PayloadTooLarge,
     ZeroDenominator,
 )
-from hppk.modmath import WIDE_BITS, ensure_wide, mod_inverse
+from hppk.modmath import WIDE_BITS, ensure_wide, mod_inverse, solve_quadratic
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet
 from hppk.rng import DeterministicStream
 
@@ -578,6 +581,137 @@ def test_degree2_decaps_reports_earliest_failure_across_passes(first):
         kem.decaps(sk, DEG2, ct)
     assert err.value.block_index == 1
     assert isinstance(err.value.cause, first)
+
+
+DEG2_SMALL = ParameterSet(prime=65537, base_degree=1, factor_degree=2, noise_vars=3,
+                          label="deg2-65537")
+
+
+def _reference_decaps(sk, params, blocks):
+    """The secret, or (k, cause) for the earliest failing block, one block at a time."""
+    p = params.prime
+    payloads = []
+    for k, ct in enumerate(blocks):
+        c1 = fhe.decrypt_value(sk.key1, ct.value1, p)
+        c2 = fhe.decrypt_value(sk.key2, ct.value2, p)
+        if c2 == 0:
+            return k, ZeroDenominator
+        d0, d1, d2 = ((c2 * a - c1 * b) % p for a, b in zip(sk.f1, sk.f2))
+        try:
+            roots = solve_quadratic(d2, d1, d0, p)
+        except DegenerateEquation:
+            return k, DegenerateEquation
+        verified = [r for r in roots if verify_flag(r, params)]
+        if len(verified) != 1:
+            return k, NoValidRoot
+        payloads.append(extract_payload(verified[0], params))
+    return kem._pack_payloads(payloads, params)
+
+
+def _equation(sk, p, c1, c2):
+    return [(c2 * a - c1 * b) % p for a, b in zip(sk.f1, sk.f2)]
+
+
+def _discriminant(d, p):
+    return (d[1] * d[1] - 4 * d[2] * d[0]) % p
+
+
+def _double_root_blocks(sk, p):
+    """(c1, c2) pairs, c1 = 1, whose equation is a quadratic with a zero
+    discriminant: the zeros of the binary quadratic form disc(c2*f1 - c1*f2)."""
+    a, b = sk.f1, sk.f2
+    form = (a[1] * a[1] - 4 * a[2] * a[0],
+            -2 * a[1] * b[1] + 4 * (a[2] * b[0] + b[2] * a[0]),
+            b[1] * b[1] - 4 * b[2] * b[0])
+    try:
+        us = solve_quadratic(*form, p)
+    except DegenerateEquation:
+        return []
+    return [(1, u) for u in us if u and _equation(sk, p, 1, u)[2]]
+
+
+def _linear_block(sk, p):
+    """(c1, c2) whose equation's quadratic coefficient vanishes: c1/c2 = f1[2]/f2[2]."""
+    return sk.f1[2] * mod_inverse(sk.f2[2], p) % p, 1
+
+
+def _root_verifies(sk, params, pair):
+    d0, d1, d2 = _equation(sk, params.prime, *pair)
+    try:
+        roots = solve_quadratic(d2, d1, d0, params.prime)
+    except DegenerateEquation:
+        return False
+    return sum(verify_flag(r, params) for r in roots) == 1
+
+
+def _crafted_deg2_key(params, kind):
+    """(sk, pk, rng, {name: (c1, c2)}) for the first seeded key that has a
+    double-root block and whose crafted block of this kind decrypts: its
+    flag-verified root makes the batch's later blocks count."""
+    p = params.prime
+    for seed in itertools.count():
+        rng = DeterministicStream(f"deg2-crafted/{p}/{kind}/{seed}".encode())
+        sk, pk = keygen(params, rng)
+        double = _double_root_blocks(sk, p)
+        if not double or sk.f2[2] == 0:
+            continue
+        pairs = {"double-root": double, "linear": [_linear_block(sk, p)]}
+        verifying = [pair for pair in pairs[kind] if _root_verifies(sk, params, pair)]
+        if verifying:
+            break
+    while True:
+        c1, c2 = rng.below(p), 1 + rng.below(p - 1)
+        d = _equation(sk, p, c1, c2)
+        disc = _discriminant(d, p)
+        if d[2] and disc and pow(disc, (p - 1) // 2, p) == p - 1:
+            break
+    crafted = {
+        "non-residue": (c1, c2),
+        "linear": _linear_block(sk, p),
+        "zero-denominator": (8, 0),
+        "double-root": double[0],
+        kind: verifying[0],
+    }
+    return sk, pk, rng, crafted
+
+
+@pytest.mark.parametrize("kind", ["double-root", "linear"])
+@pytest.mark.parametrize("params", [DEG2, DEG2_SMALL], ids=["deg2", "deg2-65537"])
+def test_degree2_decaps_matches_a_per_block_reference(params, kind):
+    # crafted blocks: a zero discriminant (a double root, kept out of the
+    # batch inversion), a non-residue discriminant, a vanishing quadratic
+    # coefficient (a linear block) and c2 = 0, among honest blocks in many
+    # orders; the key is one whose double-root or linear block decrypts
+    p = params.prime
+    sk, pk, rng, crafted = _crafted_deg2_key(params, kind)
+    assert _discriminant(_equation(sk, p, *crafted["double-root"]), p) == 0
+    assert _discriminant(_equation(sk, p, *crafted["non-residue"]), p)
+    assert _equation(sk, p, *crafted["linear"])[2] == 0
+    blocks = {name: _crafted_block(sk, *pair) for name, pair in crafted.items()}
+    ct, _ = kem.encaps(pk, params, rng)
+    honest = list(ct.blocks)
+    n = params.block_count
+    spots = [i * (n - 1) // 4 for i in range(5)]
+    orders = list(itertools.permutations(
+        ["double-root", "linear", "non-residue", "zero-denominator", "honest"]))
+    orders += [(*row, "honest", "honest")
+               for row in itertools.product(["double-root", "linear", "honest"], repeat=3)]
+    outcomes = set()
+    for order in orders:
+        case = list(honest)
+        for spot, name in zip(spots, order):
+            if name != "honest":
+                case[spot] = blocks[name]
+        try:
+            got = kem.decaps(sk, params, kem.KemCiphertext(tuple(case)))
+        except DecapsFailure as err:
+            got = err.block_index, type(err.cause)
+        assert got == _reference_decaps(sk, params, case), order
+        outcomes.add(got if isinstance(got, bytes) else got[1])
+    # the verifying block decrypts beside honest blocks, and each crafted
+    # failure is reached
+    assert any(isinstance(o, bytes) for o in outcomes)
+    assert {ZeroDenominator, NoValidRoot} <= outcomes
 
 
 def test_toy_zero_denominator_rate():

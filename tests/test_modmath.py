@@ -6,6 +6,7 @@ import pytest
 
 from hppk.errors import CapacityExceeded, DegenerateEquation, NotCoprime
 from hppk.modmath import (
+    _signed_runs,
     WIDE_BITS,
     batch_inverse,
     ensure_wide,
@@ -76,13 +77,36 @@ def test_batch_inverse_matches_mod_inverse():
     assert batch_inverse(units, s) == [mod_inverse(v, s) for v in units]
 
 
+def test_signed_runs_walk_to_their_exponent():
+    # each step squares at most 59 times, so pow's exponent stays within 60 bits
+    assert _signed_runs((1 << 61) - 8) == ((1 << 58, -1), (8, 0))
+    assert _signed_runs(0) == ((1, -1),)
+    rng = random.Random(41)
+    for e in [*range(600), (1 << 59) - 1, (1 << 200) + 12345,
+              *(rng.getrandbits(130) for _ in range(200))]:
+        x = 1
+        for power, digit in _signed_runs(e):
+            assert 1 <= power < 1 << 60 and power & (power - 1) == 0
+            x = x * power + digit
+        assert x == e
+
+
 def test_sqrt_mod_examples():
     assert sqrt_mod(4, 13) == [2, 11]
     assert sqrt_mod(0, 13) == [0]
     assert sqrt_mod(5, 13) == []  # 5 is a non-residue mod 13
 
 
-# 257 = 2**8 + 1, 7681 = 15 * 2**9 + 1 and 12289 = 3 * 2**12 + 1 take the
+def _sqrt_both_ways(a, p):
+    """sqrt_mod without and with the inverse of a supplied; asserts they agree."""
+    plain = sqrt_mod(a, p)
+    a_inv = pow(a, -1, p) if a % p else None
+    assert sqrt_mod(a, p, a_inv) == plain
+    return plain
+
+
+# 257 = 2**8 + 1 (q = 1, so the walk to a**((q-1)/2) is a single division
+# by a), 7681 = 15 * 2**9 + 1 and 12289 = 3 * 2**12 + 1 take the
 # Tonelli-Shanks loop through many rounds.
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 29, 41, 73, 97, 257, 7681, 12289])
 def test_sqrt_mod_matches_enumeration_small_primes(p):
@@ -90,31 +114,38 @@ def test_sqrt_mod_matches_enumeration_small_primes(p):
     for r in range(p):
         roots[r * r % p].append(r)
     for a in range(p):
-        assert sqrt_mod(a, p) == roots[a]
+        assert _sqrt_both_ways(a, p) == roots[a]
+
+
+# (q-1)/2 in signed digits: 2**61 - 2**3 at 2**64 - 59, 2**59 - 1 at the
+# Mersenne prime 2**61 - 1 (a run of 59 squarings), 2**31 - 1 at
+# 2**64 - 2**32 + 1 (s = 32) and five nonzero digits at 2**64 - 363
+LARGE_PRIMES = [(1 << 64) - 59, (1 << 61) - 1, (1 << 64) - (1 << 32) + 1, (1 << 64) - 363]
 
 
 def test_sqrt_mod_large_prime_roundtrip():
-    p = (1 << 64) - 59
-    rng = random.Random(3)
-    for _ in range(200):
-        r = rng.randrange(1, p)
-        roots = sqrt_mod(r * r % p, p)
-        assert r in roots or p - r in roots
-        for root in roots:
-            assert root * root % p == r * r % p
+    for p in LARGE_PRIMES:
+        rng = random.Random(3)
+        for _ in range(200):
+            r = rng.randrange(1, p)
+            roots = _sqrt_both_ways(r * r % p, p)
+            assert roots == sorted({r, p - r})
+            for root in roots:
+                assert root * root % p == r * r % p
 
 
 def test_sqrt_mod_large_prime_non_residues():
     p = (1 << 64) - 59
-    assert sqrt_mod(3, p) == []  # Euler's criterion: 3**((p-1)/2) = -1 mod p
-    rng = random.Random(9)
-    non_residues = 0
-    for _ in range(200):
-        a = rng.randrange(1, p)
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            assert sqrt_mod(a, p) == []
-            non_residues += 1
-    assert non_residues > 50
+    assert _sqrt_both_ways(3, p) == []  # Euler's criterion: 3**((p-1)/2) = -1 mod p
+    for p in LARGE_PRIMES:
+        rng = random.Random(9)
+        non_residues = 0
+        for _ in range(200):
+            a = rng.randrange(1, p)
+            if pow(a, (p - 1) // 2, p) == p - 1:
+                assert _sqrt_both_ways(a, p) == []
+                non_residues += 1
+        assert non_residues > 50
 
 
 def test_solve_linear_examples():

@@ -1,6 +1,9 @@
 import pytest
 
+from hppk import kem
+from hppk.block import keygen
 from hppk.params import DEFAULT_PRIME_64, PARAMETER_SETS, ParameterSet, by_level
+from hppk.rng import DeterministicStream
 
 
 def test_production_configurations_match_expected_tuples():
@@ -42,6 +45,37 @@ def test_ring_bits_default_rule():
     params = ParameterSet(prime=13, base_degree=1, factor_degree=1,
                           noise_vars=2, label="defaulted")
     assert params.ring_bits == 16  # 2 * prime_bits + 8
+
+
+# 127 is prime, and a shape has (message_degree + 1) * noise_vars terms with
+# both factors at least 2, so 126 terms (bit length 7, as 127) is the largest
+# shape below 128; from 128 terms on the margin grows past 8 bits.
+@pytest.mark.parametrize("prime", [13, DEFAULT_PRIME_64])
+@pytest.mark.parametrize("base_degree, noise_vars, terms, margin", [
+    (1, 42, 126, 8),
+    (2, 31, 124, 8),
+    (2, 32, 128, 9),
+    (1, 43, 129, 9),
+    (6, 37, 296, 10),
+])
+def test_ring_bits_default_clears_the_term_count(prime, base_degree, noise_vars,
+                                                 terms, margin):
+    params = ParameterSet(prime=prime, base_degree=base_degree, factor_degree=1,
+                          noise_vars=noise_vars)
+    assert params.term_count == terms
+    assert params.ring_bits == 2 * params.prime_bits + margin
+    assert params.ring_bits > 2 * params.prime_bits + terms.bit_length()
+
+
+def test_a_128_term_shape_on_its_default_ring_round_trips():
+    params = ParameterSet(prime=DEFAULT_PRIME_64, base_degree=2, factor_degree=1,
+                          noise_vars=32)
+    rng = DeterministicStream(b"128-terms")
+    sk, pk = keygen(params, rng)
+    pk = kem.deserialize_pk(kem.serialize_pk(pk, params), params)
+    ct, ss = kem.encaps(pk, params, rng)
+    ct = kem.deserialize_ct(kem.serialize_ct(ct, params), params)
+    assert kem.decaps(sk, params, ct) == ss
 
 
 def test_validation_rejects_bad_shapes():
